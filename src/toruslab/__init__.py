@@ -11,7 +11,6 @@ Layers:
 """
 
 from .spectral import (
-    DyadicBlock,
     SpectralField,
     TorusGeometry,
     block_indicator,
@@ -45,7 +44,6 @@ from .evolution import (
     step_nonlinear,
 )
 from .spacetime import (
-    ModulationPartition,
     SpaceTimeField,
     SupportError,
     assembled_norm,
@@ -93,7 +91,6 @@ from .estimates import (
     trilinear_sweep,
 )
 from .runner import (
-    ExperimentConfig,
     emit_report,
     load_config,
     read_reports_csv,

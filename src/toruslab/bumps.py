@@ -61,9 +61,12 @@ def eta_j(tau, j):
     )
 
 
-def eta_le(tau, m):
-    """Telescoped partial sum eta_{<=m} = eta0(tau / 2^m)."""
-    return eta0(np.asarray(tau, dtype=float) / 2.0**m)
+def max_resolved_j(tau_max):
+    """Largest j whose annulus eta_j intersects |tau| <= tau_max."""
+    j = 0
+    while INNER * 2.0 ** (j - 1) <= tau_max:
+        j += 1
+    return j
 
 
 def plateau(t, lo, hi, width):

@@ -50,14 +50,10 @@ def main(argv=None):
         print(f"config ok: scenario {name}")
         return EXIT_OK
 
-    try:
-        status, result = run_scenario(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    status, result = run_scenario(cfg)
     for line in result.lines:
-        print(f"[{result.name}] {line}")
-    print(f"[{result.name}] overall: " + ("PASS" if result.passed else "FAIL"))
+        print(f"[{name}] {line}")
+    print(f"[{name}] overall: " + ("PASS" if result.passed else "FAIL"))
     return status
 
 

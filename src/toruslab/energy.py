@@ -193,11 +193,6 @@ def build_symbol(envelope, k0, s, eps):
     return DyadicSymbol.from_blocks(log2_vals, s, eps)
 
 
-def symbol_block_table(sym, kmax):
-    """Representative block values a(2^k), k = 0..kmax."""
-    return sym(2.0 ** np.arange(kmax + 1))
-
-
 def check_slowly_varying(sym, rng, xi_max, n=512):
     """Max ratio a(xi)/a(xi') over comparable pairs xi' in [xi/2, 2 xi]."""
     xi = np.exp(rng.uniform(0.0, np.log(xi_max), n))

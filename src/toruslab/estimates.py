@@ -702,8 +702,6 @@ class TrilinearConfig:
         slot-signed sum of shifts.  Spikes are binned once per sample; each
         window center costs one batched convolution with its window profile.
         """
-        from .spacetime import PARTITION
-
         lam = self.lam
         k4 = self.ks[3]
         pref = 1.0 / (2.0 * np.pi * lam) ** 2
@@ -760,9 +758,9 @@ class TrilinearConfig:
         spike_fft = np.fft.fft(spike_mat, nfft, axis=1)
         resolvent = 1.0 / (taugrid**2 + 4.0**k4)
         tau_max = float(np.max(np.abs(taugrid)))
-        jmax = PARTITION.max_resolved_j(tau_max)
+        jmax = bumps.max_resolved_j(tau_max)
         weights = np.stack(
-            [PARTITION.eta_j(taugrid, j) ** 2 for j in range(jmax + 1)]
+            [bumps.eta_j(taugrid, j) ** 2 for j in range(jmax + 1)]
         )
         best = 0.0
         for kern in kernels:
@@ -803,8 +801,6 @@ class TrilinearConfig:
         equivalence with the generic windowed-norm machinery at theta = 0 is
         covered by tests).
         """
-        from .spacetime import PARTITION
-
         k = self.ks[s]
         teeth = (
             [(float(theta), 1.0)]
@@ -838,14 +834,14 @@ class TrilinearConfig:
             dsig = 2.0 * np.pi / (npad * dt)
             power = dsig * np.abs(what) ** 2
             smax = float(np.max(np.abs(sig))) + max(abs(x) for x, _ in teeth)
-            jmax = PARTITION.max_resolved_j(smax)
+            jmax = bumps.max_resolved_j(smax)
             total = 0.0
             for j in range(jmax + 1):
                 # teeth are dyadically separated, so cross terms between
                 # displaced copies of the window spectrum are negligible
                 blockv = 0.0
                 for x, wt in teeth:
-                    wj = PARTITION.eta_j(sig + x, j)
+                    wj = bumps.eta_j(sig + x, j)
                     blockv += wt * wt * float(np.sum(wj * wj * power))
                 if blockv > 0.0:
                     total += 2.0 ** (j * 0.5) * np.sqrt(blockv)

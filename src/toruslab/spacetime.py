@@ -36,33 +36,6 @@ class SupportError(ValueError):
 
 
 @dataclass(frozen=True)
-class ModulationPartition:
-    """Smooth dyadic partition of unity in the modulation variable."""
-
-    inner: float = bumps.INNER
-    outer: float = bumps.OUTER
-
-    def eta0(self, tau):
-        return bumps.eta0(tau)
-
-    def eta_j(self, tau, j):
-        return bumps.eta_j(tau, j)
-
-    def eta_le(self, tau, m):
-        return bumps.eta_le(tau, m)
-
-    def max_resolved_j(self, tau_max):
-        """Largest j whose annulus intersects |tau| <= tau_max."""
-        j = 0
-        while self.inner * 2.0 ** (j - 1) <= tau_max:
-            j += 1
-        return j
-
-
-PARTITION = ModulationPartition()
-
-
-@dataclass(frozen=True)
 class SpaceTimeField:
     """Spatial Fourier coefficients sampled on a uniform time grid."""
 
@@ -163,7 +136,7 @@ def _check_block_support(field, k):
         raise SupportError(f"field has active frequencies outside block {k}")
 
 
-def _segment_norm(times, vals, xi, k, b, law, lam, resolvent, partition=PARTITION,
+def _segment_norm(times, vals, xi, k, b, law, lam, resolvent,
                   tau_bins=TAU_BINS_PER_WINDOW_SCALE):
     """Modulation-weighted norm of one (already windowed) time segment."""
     nt = times.size
@@ -183,8 +156,8 @@ def _segment_norm(times, vals, xi, k, b, law, lam, resolvent, partition=PARTITIO
         power = power / (taut**2 + 4.0**k)
     tau_max = np.pi / dt
     total = 0.0
-    for j in range(partition.max_resolved_j(tau_max) + 1):
-        w = partition.eta_j(taut, j)
+    for j in range(bumps.max_resolved_j(tau_max) + 1):
+        w = bumps.eta_j(taut, j)
         block = float(np.sum(w * w * power))
         if block > 0.0:
             total += 2.0 ** (j * b) * np.sqrt(block)

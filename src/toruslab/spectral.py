@@ -144,20 +144,6 @@ def _check_same_geometry(a, b):
         raise ValueError("geometry mismatch")
 
 
-@dataclass(frozen=True)
-class DyadicBlock:
-    """Frequency annulus I_k: |xi| in [2^k, 2^(k+1)) for k >= 1, I_0 = (-2, 2)."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("block index must be nonnegative")
-
-    def contains(self, xi):
-        return block_indicator(xi, self.index)
-
-
 def block_indicator(xi, k):
     a = np.abs(np.asarray(xi, dtype=float))
     if k == 0:

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import subprocess
@@ -6,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from toruslab import cli
 from toruslab import estimates as es
 from toruslab import runner as rn
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -30,6 +34,34 @@ def test_validate_and_errors(tmp_path):
         rn.validate_config(rn.load_config(bad_s))
     with pytest.raises(rn.ConfigError):
         rn.load_config(str(tmp_path / "missing.cfg"))
+
+
+@pytest.mark.parametrize("text, field", [
+    ("[run]\nscenario = trilinear\n[trilinear]\nequations = mbo nls\n",
+     "'nls'"),
+    ("[run]\nscenario = trilinear\n[trilinear]\n"
+     "classes = high_low_low_to_hihg\n", "'high_low_low_to_hihg'"),
+    ("[run]\nscenario = estimates\n[estimates]\nids = bilinear bilniear\n",
+     "'bilniear'"),
+    ("[run]\nscenario = apriori\n[apriori]\nequation = dnls\n",
+     "'equation'"),
+    ("[run]\nscenario = apriori\n[apriori]\ngrid_sise = 64\n", "'grid_sise'"),
+    ("[run]\nscenario = envelope\n[envelop]\ncount = 10\n", "[envelop]"),
+])
+def test_validate_rejects_unknown_fields(tmp_path, capsys, text, field):
+    # each of these configs was accepted by validate before the parser was
+    # derived from the criterion signatures
+    assert cli.main(["validate", write_cfg(tmp_path, text)]) == rn.EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))),
+    ids=os.path.basename,
+)
+def test_shipped_configs_validate(path):
+    name = rn.validate_config(rn.load_config(path))
+    assert name == os.path.splitext(os.path.basename(path))[0]
 
 
 def _fake_reports():
@@ -93,6 +125,12 @@ def test_scenario_envelope_runs(tmp_path):
     assert os.path.exists(str(tmp_path / "out" / "envelope.csv"))
     man = json.loads(open(str(tmp_path / "out" / "envelope.json")).read())
     assert man["seed"] == 5
+    assert set(man["measurements"]) == {"domination", "log_lipschitz",
+                                        "envelope_sum"}
+    assert [c["name"] for c in man["checks"]] == [n for n, _, _ in result.checks]
+    for rec, (name, value, bound) in zip(man["checks"], result.checks):
+        assert rec == {"name": name, "value": value, "bound": bound,
+                       "passed": True}
 
 
 def test_scenario_rerun_byte_identical(tmp_path):
