@@ -92,17 +92,16 @@ def project_band(f, band):
     return SpectralField(f.geometry, np.where(mask, f.coeffs, 0.0), real=f.real)
 
 
-def _cubic_coeffs(coeffs, geometry, conjugate_middle):
-    """Fourier coefficients of u^3 (or |u|^2 u), exact on a 2x padded grid."""
-    n = geometry.grid_size
-    npad = 2 * n
-    mv = geometry.mvals
+def _cubic_coeffs(coeffs, slots, period, conjugate_middle):
+    """Fourier coefficients of u^3 (or |u|^2 u), exact on a 2x padded grid;
+    slots = mvals % (2 M) places the M modes on that grid."""
+    npad = 2 * coeffs.size
     padded = np.zeros(npad, dtype=complex)
-    padded[mv % npad] = coeffs
-    u = np.fft.ifft(padded) * npad / geometry.period
+    padded[slots] = coeffs
+    u = np.fft.ifft(padded) * npad / period
     cube = (u * np.conj(u) * u) if conjugate_middle else u**3
-    chat = np.fft.fft(cube) * (geometry.period / npad)
-    return chat[mv % npad]
+    chat = np.fft.fft(cube) * (period / npad)
+    return chat[slots]
 
 
 class FlowIntegrator:
@@ -114,6 +113,7 @@ class FlowIntegrator:
         self.geometry = g
         self.band = dealias_band(g)
         self.band_mask = np.abs(g.mvals) <= self.band
+        self._slots = g.mvals % (2 * g.grid_size)
         xi = g.xi
         omega = problem.law.omega(xi)
         omega_max = float(np.max(np.abs(omega[self.band_mask])))
@@ -133,7 +133,8 @@ class FlowIntegrator:
             self._conj_mid = True
 
     def nonlinearity(self, coeffs):
-        chat = _cubic_coeffs(coeffs, self.geometry, self._conj_mid)
+        chat = _cubic_coeffs(coeffs, self._slots, self.geometry.period,
+                             self._conj_mid)
         return np.where(self.band_mask, self._mult * chat, 0.0)
 
     def step(self, coeffs):

@@ -16,9 +16,21 @@ Norm conventions:
 * nonlinearity norm: same with the resolvent weight (tau - omega + i 2^k)^-1
   applied multiplicatively before the modulation sum.
 
-The tau quadrature resolution is a convergence knob: bins below the grid
-resolution contribute a few percent at most for window-localized fields (the
-default resolves bins down to eight octaves below the window scale).
+Each windowed, demodulated segment g of n rows is weighed on the tau grid of
+its FFT zero-padded to npad >= 4n, bins at most 2^k / tau_bins wide (finer bins
+change window-localized norms by a few percent at most): the annulus mass is
+sum_l W_j(tau_l) |ghat(tau_l)|^2, W_j = eta_j^2 (over tau^2 + 4^k for the
+nonlinearity norm).  That equals the lag sum over |d| < n of K_j[d] A[d], with
+the lag kernel K_j = Re fft(W_j) and the mode-summed autocorrelation
+A[d] = sum_modes sum_i g_(i+d) conj(g_i), exact from an FFT of length
+L = min(next_pow2(2n + 8), npad): 256 against npad = 4096 at k = 6.  Each call
+builds the kernels once per npad and reduces the windows in (windows, L,
+modes) batches of at most CHUNK_BYTES.  The lag sum cancels down from the
+window's power, so an annulus holding a tiny share of it loses accuracy; the
+m-th difference of g (m < 4) tilts that power, (4 sin^2(tau dt / 2))^m
+|ghat|^2, to high tau, and each annulus takes the form with the smallest
+rounding bound A_m[0] |K_j,m|_1.  A near-empty annulus can still sum to a
+tiny negative, clamped to zero.
 """
 
 from dataclasses import dataclass
@@ -26,9 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bumps
-from .spectral import SpectralField, block_indicator, max_block
+from .spectral import block_indicator, max_block
 
 TAU_BINS_PER_WINDOW_SCALE = 32  # delta-tau = 2^k / this
+CHUNK_BYTES = 4 << 20  # bound on one (windows, L, modes) complex batch
+DIFFERENCE_FORMS = 4  # lag sums of the 0th to 3rd differences of a segment
 
 
 class SupportError(ValueError):
@@ -98,7 +112,7 @@ class SpaceTimeField:
         )
 
 
-def from_trajectory(traj, support=None):
+def from_trajectory(traj):
     """Wrap an evolution trajectory (states in fft coefficient order)."""
     g = traj.problem.u0.geometry
     mv = g.mvals
@@ -107,13 +121,10 @@ def from_trajectory(traj, support=None):
     asc = np.argsort(t)
     vals = traj.states[asc][:, order]
     t = t[asc]
-    if support is None:
-        support = (float(t[0]), float(t[-1]))
-    return SpaceTimeField(g, mv[order], t, vals, support)
+    return SpaceTimeField(g, mv[order], t, vals, (float(t[0]), float(t[-1])))
 
 
-def modulated_profile_field(geometry, mvals, tgrid, profile, envelope, law,
-                            support=None):
+def modulated_profile_field(geometry, mvals, tgrid, profile, envelope, law):
     """Field exp(i t omega(xi)) * profile(xi) * envelope(t): a free solution
     shaped by a slow temporal envelope."""
     mvals = np.asarray(mvals, dtype=int)
@@ -122,67 +133,76 @@ def modulated_profile_field(geometry, mvals, tgrid, profile, envelope, law,
     phases = np.exp(1j * np.outer(t, law.omega(xi)))
     env = np.asarray(envelope, dtype=complex)
     vals = phases * profile[None, :] * env[:, None]
-    if support is None:
-        support = (float(t[0]), float(t[-1]))
-    return SpaceTimeField(geometry, mvals, t, vals, support)
+    return SpaceTimeField(geometry, mvals, t, vals, (float(t[0]), float(t[-1])))
 
 
-def _check_block_support(field, k):
-    active = field.active_columns()
-    if not np.any(active):
-        return
-    inside = block_indicator(field.xi, k)
-    if np.any(active & ~inside):
-        raise SupportError(f"field has active frequencies outside block {k}")
+def _lag_kernels(npad, lags, dt, k, nj, resolvent):
+    """Lag kernels (forms, lags, nj) of the weights W_j on the npad-point tau
+    grid, form m for the m-th difference of the segment (W_j over
+    (4 sin^2(tau dt / 2))^m, j >= 1 when m > 0), with their l1 norms."""
+    taut = 2.0 * np.pi * np.fft.rfftfreq(npad, dt)
+    weight = 1.0 / (taut**2 + 4.0**k) if resolvent else 1.0
+    diff = 4.0 * np.sin(0.5 * dt * taut) ** 2
+    kern = np.zeros((DIFFERENCE_FORMS, lags.size, nj))
+    for j in range(nj):
+        w = bumps.eta_j(taut, j) ** 2 * weight
+        for m in range(DIFFERENCE_FORMS if j else 1):
+            if m:  # W_j (j >= 1) vanishes near tau = 0, where diff does
+                w = np.divide(w, diff, out=np.zeros_like(w), where=w > 0)
+            kern[m, :, j] = np.fft.irfft(w, npad)[lags]
+    return kern, np.sum(np.abs(kern), axis=1)
 
 
-def _segment_norm(times, vals, xi, k, b, law, lam, resolvent,
-                  tau_bins=TAU_BINS_PER_WINDOW_SCALE):
-    """Modulation-weighted norm of one (already windowed) time segment."""
-    nt = times.size
-    if nt < 2 or not np.any(vals):
+def _modulation_sup(field, rows, k, b, law, resolvent, tau_bins):
+    """Largest block norm over the windowed segments w * nu[lo:lo + w.size],
+    (lo, w) in rows, of the demodulated active columns nu of the field."""
+    if law is None:
+        raise ValueError("a dispersion law is required")
+    cols = field.active_columns()
+    if not np.any(cols):
         return 0.0
-    dt = float(times[1] - times[0])
-    nu = vals * np.exp(-1j * np.outer(times, law.omega(xi)))
-    dtau_target = 2.0**k / tau_bins
-    npad = bumps.next_pow2(
-        max(4 * nt, int(np.ceil(2.0 * np.pi / (dtau_target * dt))))
-    )
-    nutilde = np.fft.fft(nu, n=npad, axis=0) * dt
-    taut = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
-    dtau = 2.0 * np.pi / (npad * dt)
-    power = dtau * np.sum(np.abs(nutilde) ** 2, axis=1) / lam
-    if resolvent:
-        power = power / (taut**2 + 4.0**k)
-    tau_max = np.pi / dt
-    total = 0.0
-    for j in range(bumps.max_resolved_j(tau_max) + 1):
-        w = bumps.eta_j(taut, j)
-        block = float(np.sum(w * w * power))
-        if block > 0.0:
-            total += 2.0 ** (j * b) * np.sqrt(block)
-    return total
+    if np.any(cols & ~block_indicator(field.xi, k)):
+        raise SupportError(f"field has active frequencies outside block {k}")
+    dt = field.dt
+    nu = field.values[:, cols] * np.exp(
+        -1j * np.outer(field.tgrid, law.omega(field.xi[cols])))
+    floor = int(np.ceil(2.0 * np.pi / (2.0**k / tau_bins * dt)))
+    groups = {}
+    for lo, w in rows:
+        npad = bumps.next_pow2(max(4 * w.size, floor))
+        groups.setdefault(npad, []).append((lo, w))
+    jweights = 2.0 ** (b * np.arange(bumps.max_resolved_j(np.pi / dt) + 1))
+    best = 0.0
+    for npad, group in groups.items():
+        nmax = max(w.size for _, w in group) + DIFFERENCE_FORMS
+        nlag = min(bumps.next_pow2(2 * nmax), npad)
+        lags = np.fft.fftfreq(nlag, 1.0 / nlag).astype(int) % npad
+        kern, norm1 = _lag_kernels(npad, lags, dt, k, jweights.size, resolvent)
+        kern *= 2.0 * np.pi * dt / field.geometry.lam
+        diff = 4.0 * np.sin(np.pi * np.arange(nlag) / nlag) ** 2
+        tilt = diff ** np.arange(DIFFERENCE_FORMS)[:, None]
+        per = max(1, CHUNK_BYTES // (16 * nlag * nu.shape[1]))
+        for first in range(0, len(group), per):
+            chunk = group[first:first + per]
+            seg = np.zeros((len(chunk), nlag, nu.shape[1]), dtype=complex)
+            for i, (lo, w) in enumerate(chunk):
+                seg[i, :w.size] = nu[lo:lo + w.size] * w[:, None]
+            spec = np.fft.fft(seg, axis=1)
+            power = np.sum(spec.real**2 + spec.imag**2, axis=2)
+            acf = np.fft.ifft(power * tilt[:, None, :], axis=-1).real
+            err = acf[..., :1] * norm1[:, None, :]
+            err[1:, :, 0] = np.inf  # eta_0 has no difference form
+            form = np.argmin(err, axis=0)[None]
+            blocks = np.take_along_axis(acf @ kern, form, axis=0)[0]
+            norms = np.sqrt(np.maximum(blocks, 0.0)) @ jweights
+            best = max(best, float(np.max(norms)))
+    return best
 
 
 def xk_norm(field, k, b=0.5, law=None, tau_bins=TAU_BINS_PER_WINDOW_SCALE):
     """Modulation-sum norm of the whole field (no time window applied)."""
-    if law is None:
-        raise ValueError("a dispersion law is required")
-    _check_block_support(field, k)
-    cols = field.active_columns()
-    if not np.any(cols):
-        return 0.0
-    return _segment_norm(
-        field.tgrid,
-        field.values[:, cols],
-        field.xi[cols],
-        k,
-        b,
-        law,
-        field.geometry.lam,
-        resolvent=False,
-        tau_bins=tau_bins,
-    )
+    rows = [(0, np.ones(field.tgrid.size))]
+    return _modulation_sup(field, rows, k, b, law, False, tau_bins)
 
 
 def window_centers(support, k, step_fraction=0.25):
@@ -196,54 +216,34 @@ def window_centers(support, k, step_fraction=0.25):
     return lo + step * np.arange(n)
 
 
-def _windowed_norm(field, k, b, law, resolvent, centers=None,
-                   tau_bins=TAU_BINS_PER_WINDOW_SCALE):
-    _check_block_support(field, k)
-    cols = field.active_columns()
-    if not np.any(cols):
-        return 0.0
-    xi = field.xi[cols]
-    vals = field.values[:, cols]
+def _window_rows(field, k, centers):
+    """(first row, weights eta0(2^k (t - c))) of each window with two or more
+    samples."""
     t = field.tgrid
-    lam = field.geometry.lam
     if centers is None:
         centers = window_centers(field.support, k)
     halfwidth = bumps.OUTER * 2.0**-k
-    best = 0.0
-    scale = 2.0**k
+    rows = []
     for c in centers:
         lo = np.searchsorted(t, c - halfwidth)
         hi = np.searchsorted(t, c + halfwidth, side="right")
-        if hi - lo < 2:
-            continue
-        seg_t = t[lo:hi]
-        w = bumps.eta0(scale * (seg_t - c))
-        seg = vals[lo:hi] * w[:, None]
-        if not np.any(seg):
-            continue
-        val = _segment_norm(
-            seg_t, seg, xi, k, b, law, lam, resolvent, tau_bins=tau_bins
-        )
-        best = max(best, val)
-    return best
+        if hi - lo >= 2:
+            rows.append((lo, bumps.eta0(2.0**k * (t[lo:hi] - c))))
+    return rows
 
 
 def fk_norm(field, k, law=None, b=0.5, centers=None,
             tau_bins=TAU_BINS_PER_WINDOW_SCALE):
     """Shorttime norm: sup over window centers of the windowed block norm."""
-    if law is None:
-        raise ValueError("a dispersion law is required")
-    return _windowed_norm(field, k, b, law, resolvent=False, centers=centers,
-                          tau_bins=tau_bins)
+    rows = _window_rows(field, k, centers)
+    return _modulation_sup(field, rows, k, b, law, False, tau_bins)
 
 
 def nk_norm(field, k, law=None, b=0.5, centers=None,
             tau_bins=TAU_BINS_PER_WINDOW_SCALE):
     """Nonlinearity norm: windowed block norm with the resolvent weight."""
-    if law is None:
-        raise ValueError("a dispersion law is required")
-    return _windowed_norm(field, k, b, law, resolvent=True, centers=centers,
-                          tau_bins=tau_bins)
+    rows = _window_rows(field, k, centers)
+    return _modulation_sup(field, rows, k, b, law, True, tau_bins)
 
 
 def time_cutoff(field, t_lim, width):

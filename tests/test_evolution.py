@@ -36,6 +36,23 @@ def test_flow_problem_rejects_complex_real_flow():
     ev.FlowProblem(ev.SCHROEDINGER, +1, u)  # fine
 
 
+def test_nonlinearity_matches_geometry_scatter():
+    """The stepper's precomputed padded-grid slots give the cubic product
+    bit for bit as when the slots are rebuilt from the geometry."""
+    for law, real in ((ev.BENJAMIN_ONO, True), (ev.SCHROEDINGER, False)):
+        u = small_data(real=real)
+        stepper = ev.FlowIntegrator(ev.FlowProblem(law, +1, u), 1e-3)
+        g = u.geometry
+        npad = 2 * g.grid_size
+        padded = np.zeros(npad, dtype=complex)
+        padded[g.mvals % npad] = u.coeffs
+        w = np.fft.ifft(padded) * npad / g.period
+        cube = w * np.conj(w) * w if law is ev.SCHROEDINGER else w**3
+        chat = (np.fft.fft(cube) * (g.period / npad))[g.mvals % npad]
+        expected = np.where(stepper.band_mask, stepper._mult * chat, 0.0)
+        assert np.array_equal(stepper.nonlinearity(u.coeffs), expected)
+
+
 def test_zero_data_stays_zero():
     g = sp.TorusGeometry(1.0, 64)
     z = sp.SpectralField(g, np.zeros(64), real=True)

@@ -214,3 +214,26 @@ def test_trajectory_and_energy_series_exports(tmp_path):
     lines = open(p2).read().strip().split("\n")
     assert lines[0] == "t,e0,e1,r4,r6,de0_dt,dcorrected_dt"
     assert len(lines) == 12
+
+
+def test_conservation_drifts_match_five_snapshot_recipe():
+    """Criterion 2 reads its drifts at snapshots 2, 4, 6, 8 of the one
+    nine-snapshot integration that also feeds trajectory.csv; at seed 7 and
+    M = 256 that is the step of a five-snapshot run (3612 = 2 x 1806 steps
+    per quarter), so the drifts equal those read at its snapshots 1..4."""
+    from toruslab import evolution as ev
+
+    prob = rn._conservation_problem(7, 256, 0.3, 0.05)
+    five = ev.evolve(prob, 1.0, n_snapshots=5)
+    dt0 = ev.default_dt(prob)
+    assert round(0.25 / dt0) == 2 * round(0.125 / dt0) == 3612
+    m0 = ev.conserved_mass(five.field(0))
+    e0 = ev.conserved_energy(five.field(0), prob.sigma)
+    expected = (
+        max(abs(ev.conserved_mass(five.field(i)) - m0) / m0
+            for i in range(1, 5)),
+        max(abs(ev.conserved_energy(five.field(i), prob.sigma) - e0) / abs(e0)
+            for i in range(1, 5)),
+    )
+    got = rn.conservation(seed=7, grid_size=256).measurements
+    assert (got["mass_drift"], got["energy_drift"]) == expected

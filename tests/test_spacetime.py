@@ -27,6 +27,122 @@ def block_field(k, seed=0, lam=1.0, envelope_scale=None, tspan=None, law=LAW,
     return st.modulated_profile_field(g, mv, tg, prof, env, law), phi
 
 
+def _segment_norm(times, vals, xi, k, b, law, lam, resolvent,
+                  tau_bins=st.TAU_BINS_PER_WINDOW_SCALE):
+    """Modulation-weighted norm of one (already windowed) time segment."""
+    nt = times.size
+    if nt < 2 or not np.any(vals):
+        return 0.0
+    dt = float(times[1] - times[0])
+    nu = vals * np.exp(-1j * np.outer(times, law.omega(xi)))
+    dtau_target = 2.0**k / tau_bins
+    npad = bumps.next_pow2(
+        max(4 * nt, int(np.ceil(2.0 * np.pi / (dtau_target * dt))))
+    )
+    nutilde = np.fft.fft(nu, n=npad, axis=0) * dt
+    taut = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
+    dtau = 2.0 * np.pi / (npad * dt)
+    power = dtau * np.sum(np.abs(nutilde) ** 2, axis=1) / lam
+    if resolvent:
+        power = power / (taut**2 + 4.0**k)
+    tau_max = np.pi / dt
+    total = 0.0
+    for j in range(bumps.max_resolved_j(tau_max) + 1):
+        w = bumps.eta_j(taut, j)
+        block = float(np.sum(w * w * power))
+        if block > 0.0:
+            total += 2.0 ** (j * b) * np.sqrt(block)
+    return total
+
+
+def oracle_norm(field, k, b, law, resolvent, centers=None,
+                tau_bins=st.TAU_BINS_PER_WINDOW_SCALE, windowed=True):
+    """Reference for fk/nk (windowed) and xk (not windowed): one zero-padded
+    FFT per window, evaluated on its own tau grid."""
+    cols = field.active_columns()
+    if not np.any(cols):
+        return 0.0
+    xi = field.xi[cols]
+    vals = field.values[:, cols]
+    t = field.tgrid
+    lam = field.geometry.lam
+    if not windowed:
+        return _segment_norm(t, vals, xi, k, b, law, lam, False, tau_bins)
+    if centers is None:
+        centers = st.window_centers(field.support, k)
+    halfwidth = bumps.OUTER * 2.0**-k
+    best = 0.0
+    scale = 2.0**k
+    for c in centers:
+        lo = np.searchsorted(t, c - halfwidth)
+        hi = np.searchsorted(t, c + halfwidth, side="right")
+        if hi - lo < 2:
+            continue
+        seg_t = t[lo:hi]
+        w = bumps.eta0(scale * (seg_t - c))
+        seg = vals[lo:hi] * w[:, None]
+        if not np.any(seg):
+            continue
+        val = _segment_norm(
+            seg_t, seg, xi, k, b, law, lam, resolvent, tau_bins=tau_bins
+        )
+        best = max(best, val)
+    return best
+
+
+def assert_matches_oracle(f, k, b, tau_bins, centers=None):
+    cases = (
+        (st.fk_norm(f, k, law=LAW, b=b, centers=centers, tau_bins=tau_bins),
+         oracle_norm(f, k, b, LAW, False, centers, tau_bins)),
+        (st.nk_norm(f, k, law=LAW, b=b, centers=centers, tau_bins=tau_bins),
+         oracle_norm(f, k, b, LAW, True, centers, tau_bins)),
+        (st.xk_norm(f, k, b=b, law=LAW, tau_bins=tau_bins),
+         oracle_norm(f, k, b, LAW, False, tau_bins=tau_bins, windowed=False)),
+    )
+    for fast, ref in cases:
+        assert ref > 0.0
+        assert abs(fast - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_norms_match_per_window_oracle(k):
+    """The batched lag-kernel evaluation of fk, nk and xk agrees with one
+    zero-padded FFT per window to 1e-12 relative."""
+    tau_bins = (8, 16, 32)[k % 3]
+    f, _ = block_field(k, seed=40 + k)
+    # envelope wider than the grid: the field is cut at both grid edges, so
+    # every window near an edge is truncated
+    cut, _ = block_field(k, seed=50 + k, envelope_scale=2.0 ** (2 - k),
+                         tspan=2.0 ** -k)
+    assert np.max(np.abs(cut.values[0])) > 0.1 * np.max(np.abs(cut.values))
+    for b in (0.25, 0.5):
+        assert_matches_oracle(f, k, b, tau_bins)
+        assert_matches_oracle(cut, k, b, tau_bins)
+
+
+@pytest.mark.parametrize("k, dt_frac", [(0, 1024), (1, 512)])
+def test_norms_match_oracle_on_fine_time_grids(k, dt_frac):
+    """Steps far below the window scale leave the top annuli with almost no
+    content: their lag sums need the difference forms, and some round below
+    zero."""
+    f, _ = block_field(k, seed=70 + k, dt_frac=dt_frac)
+    assert_matches_oracle(f, k, 0.5, 8)
+
+
+def test_norms_match_oracle_on_zero_windows_and_explicit_centers():
+    k = 4
+    f, _ = block_field(k, seed=60)
+    assert st.fk_norm(f.scaled(0.0), k, law=LAW) == 0.0
+    assert st.nk_norm(f.scaled(0.0), k, law=LAW) == 0.0
+    # zero rows for t < 0: every window centred left of -8/5 2^-k is zero
+    half = st.SpaceTimeField(f.geometry, f.mvals, f.tgrid,
+                             f.values * (f.tgrid >= 0.0)[:, None], f.support)
+    centers = np.linspace(f.tgrid[0] - 2.0**-k, f.tgrid[-1] + 2.0**-k, 9)
+    for field in (f, half):
+        assert_matches_oracle(field, k, 0.5, 16, centers=centers)
+        assert_matches_oracle(field, k, 0.25, 32)
+
+
 def test_partition_of_unity():
     tau = np.linspace(-1000, 1000, 20001)
     total = np.zeros_like(tau)
