@@ -10,6 +10,8 @@ Layers:
 * ``runner``     configuration-driven scenarios, CSV/JSON report emission
 """
 
+__version__ = "0.1.0"  # set before the imports: runner reads it
+
 from .spectral import (
     SpectralField,
     TorusGeometry,
@@ -100,4 +102,3 @@ from .runner import (
     write_trajectory_csv,
 )
 
-__version__ = "0.1.0"

@@ -14,7 +14,11 @@ then exact up to rounding), the time grid oversamples the intra-block phase
 spread.  The trilinear nonlinearity norm uses the fact that a product of
 windowed free solutions is a finite sum of modulated copies of one smooth
 profile: its modulation spectrum is assembled by binning interaction spikes
-and convolving once with the window profile transform.
+once per sample and convolving them with the window profile transform of
+each window center.  The factor F-norms factor into the lattice L2 of the
+profile times a window constant per block; a TrilinearConfig evaluates the
+unmodulated constants when it is built and a modulated one when asked, and
+no state is shared between configurations.
 """
 
 import os
@@ -24,6 +28,7 @@ import numpy as np
 
 from . import bumps
 from .evolution import BENJAMIN_ONO, SCHROEDINGER
+from .spacetime import CHUNK_BYTES
 from .spectral import SpectralField, TorusGeometry, block_indicator, random_field
 
 
@@ -527,6 +532,10 @@ TRILINEAR_CLASSES = {
 }
 
 
+TRILINEAR_TAU_BINS = 8  # spike-grid delta-tau = 2^k4 / this
+KERNEL_TOL = 1e-9  # window-profile transform trimmed below this share of its peak
+
+
 def _block_lattice(k, lam):
     mmax = int(np.ceil(2.0 ** (k + 1) * lam)) - 1
     m = np.arange(-mmax, mmax + 1)
@@ -544,7 +553,7 @@ class TrilinearConfig:
     """
 
     def __init__(self, cls_name, ks, lam=1.0, law=BENJAMIN_ONO,
-                 conjugate_middle=False, tau_bins=8, kernel_tol=1e-9):
+                 conjugate_middle=False):
         self.cls = TRILINEAR_CLASSES[cls_name]
         self.cls.validate(ks)
         self.ks = tuple(ks)
@@ -561,9 +570,11 @@ class TrilinearConfig:
         self.free_a, self.free_b = int(order[0]), int(order[1])
         self.dep = int(order[2])
         self.slot_sign = [1, -1 if conjugate_middle else 1, 1]
-        self.tau_bins = tau_bins
-        self.kernel_tol = kernel_tol
         self._build_tables()
+        # unmodulated window constants, one evaluation per distinct block
+        unit = {k: self.factor_window_constant(self.ks.index(k))
+                for k in set(self.ks[:3])}
+        self.unit_window_constants = [unit[k] for k in self.ks[:3]]
 
     def _build_tables(self):
         """Interaction tables: per output index m4, the free-axis lattice
@@ -605,24 +616,13 @@ class TrilinearConfig:
 
     def _tau_setup(self):
         k4 = self.ks[3]
-        self.dtau = 2.0**k4 / self.tau_bins
-        omin, omax = np.inf, -np.inf
-        count = 0.0
-        total = 0.0
-        for tab in self.tables:
-            if tab is None:
-                continue
-            omin = min(omin, float(np.min(tab[1])))
-            omax = max(omax, float(np.max(tab[1])))
-            total += float(np.sum(tab[1]))
-            count += tab[1].size
-        if not np.isfinite(omin):
+        self.dtau = 2.0**k4 / TRILINEAR_TAU_BINS
+        oms = [tab[1] for tab in self.tables if tab is not None]
+        if not oms:
             raise ValueError("empty interaction set for this block tuple")
+        allom = np.concatenate(oms)
+        omin, omax = float(np.min(allom)), float(np.max(allom))
         self.omega_range = (omin, omax)
-        self.omega_mean = total / count
-        allom = np.concatenate(
-            [tab[1] for tab in self.tables if tab is not None]
-        )
         # histogram resolution tied to the output window scale, so the tuned
         # candidate recenters the populated cluster to within one window width
         span = max(omax - omin, 2.0**k4)
@@ -637,18 +637,12 @@ class TrilinearConfig:
 
     def window_profile(self, center):
         """Transform of envelope^3 * eta0(2^k4 (t - center)), trimmed."""
-        if not hasattr(self, "_kernel_cache"):
-            self._kernel_cache = {}
-        ckey = round(float(center), 12)
-        if ckey in self._kernel_cache:
-            return self._kernel_cache[ckey]
         k4 = self.ks[3]
         half = bumps.OUTER * 2.0**-k4
         dt = 2.0**-k4 / 64.0
         t = np.arange(center - half, center + half + dt / 2, dt)
         s = self.envelope(t) ** 3 * bumps.eta0(2.0**k4 * (t - center))
         if not np.any(s):
-            self._kernel_cache[ckey] = (None, 0)
             return None, 0
         npad = bumps.next_pow2(int(2.0 * np.pi / (self.dtau * dt)) + t.size)
         ft = np.fft.fft(s, npad) * dt
@@ -656,16 +650,14 @@ class TrilinearConfig:
         ft = ft * np.exp(-1j * taus * t[0])
         order = np.argsort(taus)
         taus, ft = taus[order], ft[order]
-        keep = np.abs(ft) > self.kernel_tol * np.max(np.abs(ft))
+        keep = np.abs(ft) > KERNEL_TOL * np.max(np.abs(ft))
         lo, hi = np.argmax(keep), len(keep) - np.argmax(keep[::-1])
         # resample onto multiples of dtau centered at zero
         nk = int(np.ceil(max(abs(taus[lo]), abs(taus[hi - 1])) / self.dtau))
         kgrid = self.dtau * np.arange(-nk, nk + 1)
         kr = np.interp(kgrid, taus, ft.real)
         ki = np.interp(kgrid, taus, ft.imag)
-        out = (kr + 1j * ki, nk)
-        self._kernel_cache[ckey] = out
-        return out
+        return kr + 1j * ki, nk
 
     def profiles(self, rng):
         """Unit-L2 Gaussian coefficient tables, one per factor lattice."""
@@ -708,21 +700,11 @@ class TrilinearConfig:
         if centers is None:
             half = bumps.OUTER * self.env_scale
             centers = np.linspace(-half - 2.0**-k4, half + 2.0**-k4, 13)
-        teeth = []  # (signed shift, weight) pairs from all slot modulations
-        base = 0.0
-        comb = [(0.0, 1.0)]
+        shift = 0.0
         for s in range(3):
-            th = thetas[s]
-            if np.ndim(th) == 0:
-                base += self.slot_sign[s] * float(th)
-            else:
-                th = np.asarray(th, dtype=float)
-                w = 1.0 / np.sqrt(th.size)
-                comb = [(self.slot_sign[s] * float(x), w) for x in th]
-        teeth = [(base + x, w) for x, w in comb]
-        shifts = np.array([x for x, _ in teeth])
-        tau0 = self.omega_range[0] + float(np.min(shifts)) - self.reach
-        tau_hi = self.omega_range[1] + float(np.max(shifts)) + self.reach
+            shift += self.slot_sign[s] * float(thetas[s])
+        tau0 = self.omega_range[0] + shift - self.reach
+        tau_hi = self.omega_range[1] + shift + self.reach
         ngrid = int(np.ceil((tau_hi - tau0) / self.dtau)) + 1
         taugrid = tau0 + self.dtau * np.arange(ngrid)
         rows = []
@@ -737,9 +719,8 @@ class TrilinearConfig:
             )
             xi4 = self.out_lattice[m4_idx] / lam
             spikes = np.zeros(ngrid, dtype=complex)
-            for shift, w in teeth:
-                bins = np.rint((om + shift - tau0) / self.dtau).astype(int)
-                np.add.at(spikes, bins, w * amp * (1j * xi4) * pref)
+            bins = np.rint((om + shift - tau0) / self.dtau).astype(int)
+            np.add.at(spikes, bins, amp * (1j * xi4) * pref)
             if np.any(spikes):
                 rows.append(spikes)
         if not rows:
@@ -784,74 +765,60 @@ class TrilinearConfig:
         for s in range(3):
             phi = profiles[s]
             lnorm = np.sqrt(np.sum(np.abs(phi) ** 2) / self.lam)
-            out.append(lnorm * self.factor_window_constant(s, thetas[s]))
+            const = (self.unit_window_constants[s] if thetas[s] == 0.0
+                     else self.factor_window_constant(s, thetas[s]))
+            out.append(lnorm * const)
         return out
 
-    _window_cache = {}
-
     def factor_window_constant(self, s, theta=0.0):
-        """Shorttime norm of a single unit mode under this envelope (with an
-        optional extra modulation exp(i theta t)), cached per block pair.
+        """Shorttime norm of a single unit mode of block ks[s] under this
+        envelope, with an optional extra modulation exp(i theta t).
 
         The factors are free solutions times a common envelope (and slot
         modulation), so their windowed norm factorizes as the lattice L2 of
         the profile times this scalar.  The demodulated content of such a
         mode is the envelope spectrum displaced to theta, so the partition
-        weights are evaluated at shifted positions on a small grid (the
-        equivalence with the generic windowed-norm machinery at theta = 0 is
-        covered by tests).
+        weights are evaluated at shifted positions on the windows' own
+        spectral grid, which need not resolve theta (at theta = 0 this is
+        the generic windowed norm, as the tests check).  Every window center
+        shares dt and the zero-padded length, so the windows are transformed
+        in batches of at most CHUNK_BYTES of spectra and all annuli take one
+        matrix product with the weights eta_j(sig + theta)^2.
         """
         k = self.ks[s]
-        teeth = (
-            [(float(theta), 1.0)]
-            if np.ndim(theta) == 0
-            else [
-                (float(x), 1.0 / np.sqrt(np.size(theta)))
-                for x in np.asarray(theta, dtype=float)
-            ]
-        )
-        key = (k, self.ks[3], self.lam, self.law.tag,
-               tuple(round(x, 6) for x, _ in teeth))
-        if key in self._window_cache:
-            return self._window_cache[key]
         half_env = bumps.OUTER * self.env_scale
         half_win = bumps.OUTER * 2.0**-k
         dt = min(2.0**-k, self.env_scale) / 32.0
         step = 2.0**-k / 4.0
         ncent = int(np.ceil(2.0 * (half_env + 2.0**-k) / step)) + 1
         centers = -half_env - 2.0**-k + step * np.arange(ncent)
-        best = 0.0
-        for c in centers:
-            t = np.arange(c - half_win, c + half_win + dt / 2, dt)
-            w = self.envelope(t) * bumps.eta0(2.0**k * (t - c))
-            if not np.any(w):
-                continue
-            npad = bumps.next_pow2(
-                max(4 * t.size, int(2.0 * np.pi * 32.0 / (2.0**k * dt)))
-            )
-            what = np.fft.fft(w.astype(complex), npad) * dt
-            sig = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
-            dsig = 2.0 * np.pi / (npad * dt)
-            power = dsig * np.abs(what) ** 2
-            smax = float(np.max(np.abs(sig))) + max(abs(x) for x, _ in teeth)
-            jmax = bumps.max_resolved_j(smax)
-            total = 0.0
-            for j in range(jmax + 1):
-                # teeth are dyadically separated, so cross terms between
-                # displaced copies of the window spectrum are negligible
-                blockv = 0.0
-                for x, wt in teeth:
-                    wj = bumps.eta_j(sig + x, j)
-                    blockv += wt * wt * float(np.sum(wj * wj * power))
-                if blockv > 0.0:
-                    total += 2.0 ** (j * 0.5) * np.sqrt(blockv)
-            best = max(best, total)
-        self._window_cache[key] = best
-        return best
+        grids = [np.arange(c - half_win, c + half_win + dt / 2, dt)
+                 for c in centers]
+        nmax = max(t.size for t in grids)
+        windows = np.zeros((ncent, nmax), dtype=complex)
+        for i, (c, t) in enumerate(zip(centers, grids)):
+            windows[i, :t.size] = (self.envelope(t)
+                                   * bumps.eta0(2.0**k * (t - c)))
+        npad = bumps.next_pow2(
+            max(4 * nmax, int(2.0 * np.pi * 32.0 / (2.0**k * dt)))
+        )
+        sig = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
+        dsig = 2.0 * np.pi / (npad * dt)
+        jmax = bumps.max_resolved_j(float(np.max(np.abs(sig))) + abs(theta))
+        weights = np.empty((jmax + 1, npad))  # filled in place: no stack copy
+        for j in range(jmax + 1):
+            weights[j] = bumps.eta_j(sig + theta, j) ** 2
+        per = max(1, CHUNK_BYTES // (16 * npad))
+        blocks = []
+        for first in range(0, ncent, per):
+            spec = np.fft.fft(windows[first:first + per], npad, axis=1) * dt
+            blocks.append(dsig * np.abs(spec) ** 2 @ weights.T)
+        jscale = 2.0 ** (0.5 * np.arange(jmax + 1))
+        return float(np.max(np.sqrt(np.concatenate(blocks)) @ jscale))
 
 
 def trilinear_ratio(cls_name, ks, lam=1.0, law=BENJAMIN_ONO,
-                    conjugate_middle=False, seed=0, count=12, centers=None,
+                    conjugate_middle=False, seed=0, count=12,
                     include_coherent=True, include_tuned=False):
     """Ensemble ratio ||P_k4 d_x(u1 u2 u3)||_window-resolvent divided by
     alpha(k) * prod F-norms, for one block tuple.
@@ -878,7 +845,7 @@ def trilinear_ratio(cls_name, ks, lam=1.0, law=BENJAMIN_ONO,
     ratios = []
     skipped = 0
     for profiles, thetas in triples:
-        lhs = cfg.lhs_norm(profiles, centers=centers, thetas=thetas)
+        lhs = cfg.lhs_norm(profiles, thetas=thetas)
         rhs = np.prod(cfg.rhs_factor_norms(profiles, thetas=thetas))
         if lhs == 0.0 or rhs == 0.0:
             skipped += 1

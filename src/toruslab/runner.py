@@ -19,11 +19,13 @@ import configparser
 import inspect
 import json
 import os
+import platform
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from . import estimates as es
 from . import energy as en
 from . import evolution as ev
@@ -107,7 +109,9 @@ def emit_report(reports, csv_path, manifest_path=None, config_echo=None,
         manifest = {
             "config": config_echo or {},
             "seed": seed,
-            "versions": {"numpy": np.__version__},
+            "versions": {"numpy": np.__version__,
+                         "python": platform.python_version(),
+                         "toruslab": __version__},
             "wall_times": wall_times or {},
             "measurements": measurements or {},
             "checks": [

@@ -1,8 +1,51 @@
 import numpy as np
 import pytest
 
-from toruslab import estimates as es
+from toruslab import bumps, estimates as es, spacetime as st
 from toruslab.evolution import BENJAMIN_ONO, SCHROEDINGER
+from toruslab.spectral import TorusGeometry
+
+
+def window_grid(cfg, s):
+    """Time step and window centers of the factor window constant of slot s."""
+    k = cfg.ks[s]
+    half_env = bumps.OUTER * cfg.env_scale
+    dt = min(2.0**-k, cfg.env_scale) / 32.0
+    step = 2.0**-k / 4.0
+    ncent = int(np.ceil(2.0 * (half_env + 2.0**-k) / step)) + 1
+    return dt, -half_env - 2.0**-k + step * np.arange(ncent)
+
+
+def oracle_window_constant(cfg, s, theta=0.0):
+    """Reference factor window constant: one zero-padded FFT and one weighted
+    sum per window center and annulus (the loop the batched reduction of
+    TrilinearConfig.factor_window_constant replaced)."""
+    k = cfg.ks[s]
+    half_win = bumps.OUTER * 2.0**-k
+    dt, centers = window_grid(cfg, s)
+    best = 0.0
+    for c in centers:
+        t = np.arange(c - half_win, c + half_win + dt / 2, dt)
+        w = cfg.envelope(t) * bumps.eta0(2.0**k * (t - c))
+        if not np.any(w):
+            continue
+        npad = bumps.next_pow2(
+            max(4 * t.size, int(2.0 * np.pi * 32.0 / (2.0**k * dt)))
+        )
+        what = np.fft.fft(w.astype(complex), npad) * dt
+        sig = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
+        dsig = 2.0 * np.pi / (npad * dt)
+        power = dsig * np.abs(what) ** 2
+        smax = float(np.max(np.abs(sig))) + abs(theta)
+        jmax = bumps.max_resolved_j(smax)
+        total = 0.0
+        for j in range(jmax + 1):
+            wj = bumps.eta_j(sig + theta, j)
+            blockv = float(np.sum(wj * wj * power))
+            if blockv > 0.0:
+                total += 2.0 ** (j * 0.5) * np.sqrt(blockv)
+        best = max(best, total)
+    return best
 
 
 def test_fit_exponent():
@@ -262,6 +305,59 @@ class TestTrilinear:
                               (float(t[0]), float(t[-1])))
         direct = st.fk_norm(f, k, law=BENJAMIN_ONO)
         assert abs(fn[0] - direct) <= 0.05 * direct
+
+    def test_window_constant_matches_per_center_oracle(self):
+        """Batched window constants, tabulated (theta = 0) or evaluated (the
+        tuned shift, beyond the grid's Nyquist frequency at (7, 7, 7, 3)), agree
+        with the per-center loop for every slot and both laws."""
+        cases = [("high_high_high_to_low", (5, 5, 5, 1)),
+                 ("high_high_high_to_low", (7, 7, 7, 3)),
+                 ("high_low_low_to_high", (3, 4, 7, 7)),
+                 ("low_low_low_to_low", (1, 1, 3, 3))]
+        beyond_nyquist = 0
+        for cls_name, ks in cases:
+            oracle = {}  # the constant depends on the law only through theta
+            for law, conj in ((BENJAMIN_ONO, False), (SCHROEDINGER, True)):
+                cfg = es.TrilinearConfig(cls_name, ks, law=law,
+                                         conjugate_middle=conj)
+                # unit lattice L2, so each factor norm is its window constant
+                unit = [np.sqrt(cfg.lam) * (np.arange(l.size) == 0)
+                        for l in cfg.lattices]
+                tuned = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
+                for theta in (0.0, tuned):
+                    got = cfg.rhs_factor_norms(unit, thetas=(theta,) * 3)
+                    for s in range(3):
+                        key = (cfg.ks[s], theta)
+                        if key not in oracle:
+                            oracle[key] = oracle_window_constant(cfg, s, theta)
+                        assert abs(got[s] - oracle[key]) <= 1e-12 * oracle[key]
+                        dt = window_grid(cfg, s)[0]
+                        beyond_nyquist += abs(theta) > np.pi / dt
+        assert beyond_nyquist > 0
+
+    def test_window_constant_is_fk_norm_at_zero_theta(self):
+        """At theta = 0 the window constant is the generic windowed norm of a
+        one-mode free solution under the envelope, on one global time grid
+        through the same centers."""
+        cases = [("high_high_high_to_low", (5, 5, 5, 1)),
+                 ("high_low_low_to_high", (3, 4, 7, 7)),
+                 ("low_low_low_to_low", (0, 1, 3, 3))]
+        for cls_name, ks in cases:
+            cfg = es.TrilinearConfig(cls_name, ks)
+            for s in range(3):
+                k = cfg.ks[s]
+                dt, centers = window_grid(cfg, s)
+                half_win = bumps.OUTER * 2.0**-k
+                span = centers[-1] - centers[0] + 2 * half_win
+                t = centers[0] - half_win + dt * np.arange(round(span / dt) + 1)
+                f = st.modulated_profile_field(
+                    TorusGeometry(cfg.lam, 64), cfg.lattices[s][:1], t,
+                    np.ones(1), cfg.envelope(t), cfg.law,
+                )
+                direct = st.fk_norm(f, k, law=cfg.law, centers=centers,
+                                    tau_bins=32)
+                const = cfg.factor_window_constant(s)
+                assert abs(const - direct) <= 1e-12 * direct
 
     def test_sweep_report(self):
         rep = es.trilinear_sweep(

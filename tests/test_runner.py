@@ -1,12 +1,14 @@
 import glob
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import toruslab
 from toruslab import cli
 from toruslab import estimates as es
 from toruslab import runner as rn
@@ -125,6 +127,9 @@ def test_scenario_envelope_runs(tmp_path):
     assert os.path.exists(str(tmp_path / "out" / "envelope.csv"))
     man = json.loads(open(str(tmp_path / "out" / "envelope.json")).read())
     assert man["seed"] == 5
+    assert man["versions"] == {"numpy": np.__version__,
+                               "python": platform.python_version(),
+                               "toruslab": toruslab.__version__}
     assert set(man["measurements"]) == {"domination", "log_lipschitz",
                                         "envelope_sum"}
     assert [c["name"] for c in man["checks"]] == [n for n, _, _ in result.checks]
