@@ -52,13 +52,17 @@ def eta0(tau):
     return smoothstep((OUTER - t) / (OUTER - INNER))
 
 
-def eta_j(tau, j):
-    """Dyadic annulus cutoff eta_j = eta0(tau/2^j) - eta0(tau/2^(j-1)), j >= 1."""
-    if j == 0:
-        return eta0(tau)
-    return eta0(np.asarray(tau, dtype=float) / 2.0**j) - eta0(
-        np.asarray(tau, dtype=float) / 2.0 ** (j - 1)
-    )
+def eta_stack(tau, jmax):
+    """Rows eta_0 .. eta_jmax of the dyadic modulation partition at tau, with
+    eta_j = eta0(tau/2^j) - eta0(tau/2^(j-1)) for j >= 1: each eta0(tau/2^j)
+    is evaluated once and the stack is differenced in place."""
+    tau = np.asarray(tau, dtype=float)
+    out = np.empty((jmax + 1,) + tau.shape)
+    for j in range(jmax + 1):
+        out[j] = eta0(tau / 2.0**j)
+    for j in range(jmax, 0, -1):
+        out[j] -= out[j - 1]
+    return out
 
 
 def max_resolved_j(tau_max):
@@ -83,3 +87,21 @@ def next_pow2(n):
     while p < n:
         p *= 2
     return p
+
+
+def fast_len(n):
+    """Smallest 5-smooth length 2^a 3^b 5^c >= n, on which an FFT runs at
+    full speed; never above next_pow2(n)."""
+    n = max(int(n), 1)
+    best = next_pow2(n)
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # 3^b 5^c, doubled until it reaches n
+            q = p35
+            while q < n:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best

@@ -13,12 +13,16 @@ spatial grid resolves the highest product bandwidth (quadratures of |u|^p are
 then exact up to rounding), the time grid oversamples the intra-block phase
 spread.  The trilinear nonlinearity norm uses the fact that a product of
 windowed free solutions is a finite sum of modulated copies of one smooth
-profile: its modulation spectrum is assembled by binning interaction spikes
-once per sample and convolving them with the window profile transform of
-each window center.  The factor F-norms factor into the lattice L2 of the
-profile times a window constant per block; a TrilinearConfig evaluates the
-unmodulated constants when it is built and a modulated one when asked, and
-no state is shared between configurations.
+profile: its modulation spectrum is the interaction spikes convolved with
+the window profile transform of each window center.  Each output mode's
+spikes occupy a short stretch of the tau grid, so they are transformed over
+that stretch only, at a 5-smooth length shared by all rows; the binning,
+the kernel spectra and the annulus weights do not depend on the profiles
+and are tabulated when a TrilinearConfig is built (for displaced spikes or
+other centers, when asked).  The factor F-norms factor into the lattice L2
+of the profile times a window constant per block; a TrilinearConfig
+evaluates the unmodulated constants when it is built and a modulated one
+when asked, and no state is shared between configurations.
 """
 
 import os
@@ -543,6 +547,21 @@ def _block_lattice(k, lam):
     return m[keep]
 
 
+@dataclass(frozen=True)
+class TauTable:
+    """Spike grid, row supports, window-kernel spectra and annulus weights
+    of TrilinearConfig.lhs_norm (see TrilinearConfig.build_tau_table)."""
+
+    tau0: float
+    ngrid: int
+    lo: np.ndarray            # first occupied bin of each row
+    hi: np.ndarray            # last occupied bin of each row
+    scatter: np.ndarray       # flat (row, bin - lo) position of each spike
+    spans: list               # per row: (grid lo, grid hi, first local bin)
+    kernel_spectra: np.ndarray  # (centers, n)
+    weights: np.ndarray       # (annuli, ngrid)
+
+
 class TrilinearConfig:
     """Precomputed interaction tables for one block tuple.
 
@@ -571,6 +590,7 @@ class TrilinearConfig:
         self.dep = int(order[2])
         self.slot_sign = [1, -1 if conjugate_middle else 1, 1]
         self._build_tables()
+        self.tau_table = self.build_tau_table()
         # unmodulated window constants, one evaluation per distinct block
         unit = {k: self.factor_window_constant(self.ks.index(k))
                 for k in set(self.ks[:3])}
@@ -612,15 +632,27 @@ class TrilinearConfig:
                 - law.omega(m4 / lam)
             )
             self.tables.append(((mak, mbk, mdk), om))
+        live = [(m4, tab) for m4, tab in zip(self.out_lattice, self.tables)
+                if tab is not None]
+        if not live:
+            raise ValueError("empty interaction set for this block tuple")
+        # every spike of every live output row, concatenated row by row: its
+        # modulation, output frequency and each slot's lattice position
+        sizes = [tab[1].size for _, tab in live]
+        self.row_starts = np.cumsum([0] + sizes[:-1])
+        self.spike_row = np.repeat(np.arange(len(live)), sizes)
+        self.spike_om = np.concatenate([tab[1] for _, tab in live])
+        self.spike_xi4 = np.repeat([m4 / lam for m4, _ in live], sizes)
+        self.spike_pos = [None] * 3
+        for col, slot in enumerate((self.free_a, self.free_b, self.dep)):
+            m = np.concatenate([tab[0][col] for _, tab in live])
+            self.spike_pos[slot] = np.searchsorted(self.lattices[slot], m)
         self._tau_setup()
 
     def _tau_setup(self):
         k4 = self.ks[3]
         self.dtau = 2.0**k4 / TRILINEAR_TAU_BINS
-        oms = [tab[1] for tab in self.tables if tab is not None]
-        if not oms:
-            raise ValueError("empty interaction set for this block tuple")
-        allom = np.concatenate(oms)
+        allom = self.spike_om
         omin, omax = float(np.min(allom)), float(np.max(allom))
         self.omega_range = (omin, omax)
         # histogram resolution tied to the output window scale, so the tuned
@@ -631,6 +663,52 @@ class TrilinearConfig:
         imax = int(np.argmax(hist))
         self.omega_mode = float(0.5 * (edges[imax] + edges[imax + 1]))
         self.reach = 120.0 * 2.0**k4
+
+    def build_tau_table(self, shift=0.0, centers=None):
+        """Profile-independent part of lhs_norm for spikes displaced by
+        ``shift`` and the given window centers (default: 13 across the
+        envelope).
+
+        Spikes sit on the bins of tau0 + dtau * arange(ngrid), row r on bins
+        lo_r..hi_r.  A window profile is a kernel of 2 nk + 1 bins, so row r
+        convolves to bins lo_r - nk..hi_r + nk, clipped to the grid; every
+        row and center shares one 5-smooth transform length n above the
+        widest row.  The weights fold the tau-bin measure dtau / lam and the
+        resolvent 1 / (tau^2 + 4^k4) into eta_j(tau)^2.
+        """
+        k4 = self.ks[3]
+        if centers is None:
+            half = bumps.OUTER * self.env_scale
+            centers = np.linspace(-half - 2.0**-k4, half + 2.0**-k4, 13)
+        tau0 = self.omega_range[0] + shift - self.reach
+        tau_hi = self.omega_range[1] + shift + self.reach
+        ngrid = int(np.ceil((tau_hi - tau0) / self.dtau)) + 1
+        taugrid = tau0 + self.dtau * np.arange(ngrid)
+        bins = np.rint((self.spike_om + shift - tau0) / self.dtau).astype(int)
+        lo = np.minimum.reduceat(bins, self.row_starts)
+        hi = np.maximum.reduceat(bins, self.row_starts)
+        kernels = [kern for kern, _ in map(self.window_profile, centers)
+                   if kern is not None]
+        nk = max(((kern.size - 1) // 2 for kern in kernels), default=0)
+        n = bumps.fast_len(int(np.max(hi - lo + 1)) + 2 * nk + 1)
+        spectra = np.zeros((len(kernels), n), dtype=complex)
+        for row, kern in zip(spectra, kernels):  # centered on bin nk
+            pad = nk - (kern.size - 1) // 2
+            row[pad:pad + kern.size] = kern
+        spectra = np.fft.fft(spectra, axis=1)
+        first = lo - nk
+        dst_lo = np.maximum(first, 0)
+        dst_hi = np.minimum(hi + nk + 1, ngrid)
+        weights = bumps.eta_stack(
+            taugrid, bumps.max_resolved_j(float(np.max(np.abs(taugrid)))))
+        weights *= weights
+        weights *= (self.dtau / self.lam) / (taugrid**2 + 4.0**k4)
+        return TauTable(
+            tau0=tau0, ngrid=ngrid, lo=lo, hi=hi,
+            scatter=self.spike_row * n + bins - lo[self.spike_row],
+            spans=list(zip(dst_lo, dst_hi, dst_lo - first)),
+            kernel_spectra=spectra, weights=weights,
+        )
 
     def envelope(self, t):
         return bumps.eta0(t / self.env_scale)
@@ -678,84 +756,49 @@ class TrilinearConfig:
             out.append(c)
         return out
 
-    def _slot_amp(self, slot, profiles, m):
-        """Amplitude carried by one slot at its own lattice index m:
-        the profile value, conjugated for a conjugated slot."""
-        latt = self.lattices[slot]
-        idx = np.searchsorted(latt, m)
-        val = profiles[slot][idx]
-        return np.conj(val) if self.slot_sign[slot] == -1 else val
-
     def lhs_norm(self, profiles, centers=None, b=0.5, thetas=(0.0, 0.0, 0.0)):
         """Windowed resolvent norm of P_k4 d_x of the factor product.
 
         ``thetas`` are per-slot modulation shifts: slot s carries an extra
         phase exp(i theta_s t), displacing every interaction spike by the
-        slot-signed sum of shifts.  Spikes are binned once per sample; each
-        window center costs one batched convolution with its window profile.
+        slot-signed sum of shifts.  The tau table of build_tau_table is the
+        one built with the config unless the spikes are displaced or the
+        centers given.  The spike amplitudes are scattered into one row per
+        output mode over that row's own support and transformed once; each
+        window center then costs one batched inverse transform against its
+        kernel spectrum, whose power is added into the global tau grid at
+        each row's offset and weighed by the annuli in one matrix product.
         """
-        lam = self.lam
-        k4 = self.ks[3]
-        pref = 1.0 / (2.0 * np.pi * lam) ** 2
-        if centers is None:
-            half = bumps.OUTER * self.env_scale
-            centers = np.linspace(-half - 2.0**-k4, half + 2.0**-k4, 13)
         shift = 0.0
         for s in range(3):
             shift += self.slot_sign[s] * float(thetas[s])
-        tau0 = self.omega_range[0] + shift - self.reach
-        tau_hi = self.omega_range[1] + shift + self.reach
-        ngrid = int(np.ceil((tau_hi - tau0) / self.dtau)) + 1
-        taugrid = tau0 + self.dtau * np.arange(ngrid)
-        rows = []
-        for m4_idx, tab in enumerate(self.tables):
-            if tab is None:
-                continue
-            (ma, mb, md), om = tab
-            amp = (
-                self._slot_amp(self.free_a, profiles, ma)
-                * self._slot_amp(self.free_b, profiles, mb)
-                * self._slot_amp(self.dep, profiles, md)
-            )
-            xi4 = self.out_lattice[m4_idx] / lam
-            spikes = np.zeros(ngrid, dtype=complex)
-            bins = np.rint((om + shift - tau0) / self.dtau).astype(int)
-            np.add.at(spikes, bins, amp * (1j * xi4) * pref)
-            if np.any(spikes):
-                rows.append(spikes)
-        if not rows:
+        table = (self.tau_table if shift == 0.0 and centers is None
+                 else self.build_tau_table(shift, centers))
+        amp = 1.0
+        for s in (self.free_a, self.free_b, self.dep):
+            val = profiles[s][self.spike_pos[s]]
+            amp = amp * (np.conj(val) if self.slot_sign[s] == -1 else val)
+        pref = 1.0 / (2.0 * np.pi * self.lam) ** 2
+        spikes = np.zeros((self.row_starts.size, table.kernel_spectra.shape[1]),
+                          dtype=complex)
+        np.add.at(spikes.reshape(-1), table.scatter,
+                  amp * (1j * self.spike_xi4) * pref)
+        if not np.any(spikes):
             return 0.0
-        spike_mat = np.stack(rows)
-        kernels = []
-        max_nk = 0
-        for c in centers:
-            kern, nk = self.window_profile(c)
-            if kern is not None:
-                kernels.append(kern)
-                max_nk = max(max_nk, nk)
-        if not kernels:
-            return 0.0
-        nfft = bumps.next_pow2(ngrid + 2 * max_nk + 1)
-        spike_fft = np.fft.fft(spike_mat, nfft, axis=1)
-        resolvent = 1.0 / (taugrid**2 + 4.0**k4)
-        tau_max = float(np.max(np.abs(taugrid)))
-        jmax = bumps.max_resolved_j(tau_max)
-        weights = np.stack(
-            [bumps.eta_j(taugrid, j) ** 2 for j in range(jmax + 1)]
-        )
+        spec = np.fft.fft(spikes, axis=1)
+        jscale = 2.0 ** (np.arange(table.weights.shape[0]) * b)
+        nut, rowpower, imag2 = spikes, np.empty(spec.shape), np.empty(spec.shape)
         best = 0.0
-        for kern in kernels:
-            nk = (kern.size - 1) // 2
-            kfft = np.fft.fft(kern, nfft)
-            conv = np.fft.ifft(spike_fft * kfft[None, :], axis=1)
-            nut = conv[:, nk : nk + ngrid]
-            power = (self.dtau / lam) * np.sum(np.abs(nut) ** 2, axis=0)
-            power *= resolvent
-            blocks = weights @ power
-            total = float(
-                np.sum(2.0 ** (np.arange(jmax + 1) * b) * np.sqrt(np.maximum(blocks, 0.0)))
-            )
-            best = max(best, total)
+        for kspec in table.kernel_spectra:  # buffers reused across centers
+            np.fft.ifft(np.multiply(spec, kspec, out=nut), axis=1, out=nut)
+            np.square(nut.real, out=rowpower)
+            rowpower += np.square(nut.imag, out=imag2)
+            power = np.zeros(table.ngrid)
+            for row, (lo, hi, src) in zip(rowpower, table.spans):
+                power[lo:hi] += row[src:src + hi - lo]
+            blocks = table.weights @ power
+            total = np.sum(jscale * np.sqrt(np.maximum(blocks, 0.0)))
+            best = max(best, float(total))
         return best
 
     def rhs_factor_norms(self, profiles, thetas=(0.0, 0.0, 0.0)):
@@ -805,9 +848,8 @@ class TrilinearConfig:
         sig = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
         dsig = 2.0 * np.pi / (npad * dt)
         jmax = bumps.max_resolved_j(float(np.max(np.abs(sig))) + abs(theta))
-        weights = np.empty((jmax + 1, npad))  # filled in place: no stack copy
-        for j in range(jmax + 1):
-            weights[j] = bumps.eta_j(sig + theta, j) ** 2
+        weights = bumps.eta_stack(sig + theta, jmax)
+        weights *= weights
         per = max(1, CHUNK_BYTES // (16 * npad))
         blocks = []
         for first in range(0, ncent, per):

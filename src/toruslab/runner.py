@@ -10,9 +10,9 @@ Configs are plain key-value files with bracketed sections (configparser
 syntax): [run] names the scenario, seed and output directory, and the
 scenario's own section sets its keyword parameters; unknown sections, keys
 and list entries are config errors.  Outputs are a CSV of estimate rows with
-fixed schema and a JSON manifest echoing the config, seed, library versions,
-wall time, measurements and checks.  Float formatting is pinned to 17
-significant digits so identical runs are byte-identical.
+fixed schema and a JSON manifest echoing the config, seed, library versions
+and git revision, wall time, measurements and checks.  Float formatting is
+pinned to 17 significant digits so identical runs are byte-identical.
 """
 
 import configparser
@@ -95,6 +95,21 @@ def report_rows(report):
     return rows
 
 
+def git_revision():
+    """Short git revision of the checkout holding this package, or None
+    without git or outside a repository."""
+    import subprocess  # only manifests need it: keeps the package import light
+
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() or None
+
+
 def emit_report(reports, csv_path, manifest_path=None, config_echo=None,
                 seed=None, wall_times=None, measurements=None, checks=()):
     """Write the fixed-schema CSV and a JSON run manifest."""
@@ -111,7 +126,8 @@ def emit_report(reports, csv_path, manifest_path=None, config_echo=None,
             "seed": seed,
             "versions": {"numpy": np.__version__,
                          "python": platform.python_version(),
-                         "toruslab": __version__},
+                         "toruslab": __version__,
+                         "git": git_revision()},
             "wall_times": wall_times or {},
             "measurements": measurements or {},
             "checks": [

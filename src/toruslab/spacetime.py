@@ -144,8 +144,8 @@ def _lag_kernels(npad, lags, dt, k, nj, resolvent):
     weight = 1.0 / (taut**2 + 4.0**k) if resolvent else 1.0
     diff = 4.0 * np.sin(0.5 * dt * taut) ** 2
     kern = np.zeros((DIFFERENCE_FORMS, lags.size, nj))
-    for j in range(nj):
-        w = bumps.eta_j(taut, j) ** 2 * weight
+    for j, eta in enumerate(bumps.eta_stack(taut, nj - 1)):
+        w = eta**2 * weight
         for m in range(DIFFERENCE_FORMS if j else 1):
             if m:  # W_j (j >= 1) vanishes near tau = 0, where diff does
                 w = np.divide(w, diff, out=np.zeros_like(w), where=w > 0)

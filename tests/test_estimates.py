@@ -5,6 +5,8 @@ from toruslab import bumps, estimates as es, spacetime as st
 from toruslab.evolution import BENJAMIN_ONO, SCHROEDINGER
 from toruslab.spectral import TorusGeometry
 
+from oracles import eta_j
+
 
 def window_grid(cfg, s):
     """Time step and window centers of the factor window constant of slot s."""
@@ -40,10 +42,89 @@ def oracle_window_constant(cfg, s, theta=0.0):
         jmax = bumps.max_resolved_j(smax)
         total = 0.0
         for j in range(jmax + 1):
-            wj = bumps.eta_j(sig + theta, j)
+            wj = eta_j(sig + theta, j)
             blockv = float(np.sum(wj * wj * power))
             if blockv > 0.0:
                 total += 2.0 ** (j * 0.5) * np.sqrt(blockv)
+        best = max(best, total)
+    return best
+
+
+def slot_amp(cfg, slot, profiles, m):
+    """Amplitude carried by one slot at its own lattice index m:
+    the profile value, conjugated for a conjugated slot."""
+    latt = cfg.lattices[slot]
+    idx = np.searchsorted(latt, m)
+    val = profiles[slot][idx]
+    return np.conj(val) if cfg.slot_sign[slot] == -1 else val
+
+
+def oracle_lhs_norm(cfg, profiles, centers=None, b=0.5, thetas=(0.0, 0.0, 0.0)):
+    """Reference trilinear norm: every row's spikes binned on the full tau
+    grid and convolved with each center's window profile by one
+    power-of-two FFT of the whole (rows, grid) matrix (the evaluator the
+    row-support transforms of TrilinearConfig.lhs_norm replaced)."""
+    lam = cfg.lam
+    k4 = cfg.ks[3]
+    pref = 1.0 / (2.0 * np.pi * lam) ** 2
+    if centers is None:
+        half = bumps.OUTER * cfg.env_scale
+        centers = np.linspace(-half - 2.0**-k4, half + 2.0**-k4, 13)
+    shift = 0.0
+    for s in range(3):
+        shift += cfg.slot_sign[s] * float(thetas[s])
+    tau0 = cfg.omega_range[0] + shift - cfg.reach
+    tau_hi = cfg.omega_range[1] + shift + cfg.reach
+    ngrid = int(np.ceil((tau_hi - tau0) / cfg.dtau)) + 1
+    taugrid = tau0 + cfg.dtau * np.arange(ngrid)
+    rows = []
+    for m4_idx, tab in enumerate(cfg.tables):
+        if tab is None:
+            continue
+        (ma, mb, md), om = tab
+        amp = (
+            slot_amp(cfg, cfg.free_a, profiles, ma)
+            * slot_amp(cfg, cfg.free_b, profiles, mb)
+            * slot_amp(cfg, cfg.dep, profiles, md)
+        )
+        xi4 = cfg.out_lattice[m4_idx] / lam
+        spikes = np.zeros(ngrid, dtype=complex)
+        bins = np.rint((om + shift - tau0) / cfg.dtau).astype(int)
+        np.add.at(spikes, bins, amp * (1j * xi4) * pref)
+        if np.any(spikes):
+            rows.append(spikes)
+    if not rows:
+        return 0.0
+    spike_mat = np.stack(rows)
+    kernels = []
+    max_nk = 0
+    for c in centers:
+        kern, nk = cfg.window_profile(c)
+        if kern is not None:
+            kernels.append(kern)
+            max_nk = max(max_nk, nk)
+    if not kernels:
+        return 0.0
+    nfft = bumps.next_pow2(ngrid + 2 * max_nk + 1)
+    spike_fft = np.fft.fft(spike_mat, nfft, axis=1)
+    resolvent = 1.0 / (taugrid**2 + 4.0**k4)
+    tau_max = float(np.max(np.abs(taugrid)))
+    jmax = bumps.max_resolved_j(tau_max)
+    weights = np.stack(
+        [eta_j(taugrid, j) ** 2 for j in range(jmax + 1)]
+    )
+    best = 0.0
+    for kern in kernels:
+        nk = (kern.size - 1) // 2
+        kfft = np.fft.fft(kern, nfft)
+        conv = np.fft.ifft(spike_fft * kfft[None, :], axis=1)
+        nut = conv[:, nk : nk + ngrid]
+        power = (cfg.dtau / lam) * np.sum(np.abs(nut) ** 2, axis=0)
+        power *= resolvent
+        blocks = weights @ power
+        total = float(
+            np.sum(2.0 ** (np.arange(jmax + 1) * b) * np.sqrt(np.maximum(blocks, 0.0)))
+        )
         best = max(best, total)
     return best
 
@@ -280,6 +361,41 @@ class TestTrilinear:
             )
             direct = st.nk_norm(f, k4, law=law, centers=centers)
             assert abs(spike - direct) <= 0.02 * direct
+
+    def test_lhs_norm_matches_full_grid_oracle(self):
+        """Row-support transforms agree with the full-grid evaluator on the
+        criterion-9 tuples, for Gaussian, coherent and tuned candidates and
+        explicit centers, including rows narrower than half the tau grid."""
+        laws = ((BENJAMIN_ONO, False), (SCHROEDINGER, True))
+        cases = [("high_high_high_to_low", (5, 5, 5, 1), True, None),
+                 ("high_high_high_to_low", (7, 7, 7, 3), True, None),
+                 ("high_low_low_to_high", (0, 4, 7, 7), False, None),
+                 ("low_low_low_to_low", (2, 1, 1, 2), False, 5)]
+        narrow = 0
+        for cls_name, ks, tuned, ncent in cases:
+            for law, conj in laws:
+                cfg = es.TrilinearConfig(cls_name, ks, law=law,
+                                         conjugate_middle=conj)
+                zero = (0.0, 0.0, 0.0)
+                calls = [(cfg.profiles(es.sample_rng(10, 0)), zero),
+                         (cfg.coherent_profiles(), zero)]
+                if tuned:
+                    thetas = [0.0, 0.0, 0.0]
+                    thetas[cfg.dep] = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
+                    calls.append((cfg.coherent_profiles(), tuple(thetas)))
+                centers = None
+                if ncent:  # as in test_spike_evaluator_matches_direct
+                    centers = np.linspace(-0.5 * cfg.env_scale,
+                                          0.5 * cfg.env_scale, ncent)
+                for prof, thetas in calls:
+                    got = cfg.lhs_norm(prof, centers=centers, thetas=thetas)
+                    want = oracle_lhs_norm(cfg, prof, centers=centers,
+                                           thetas=thetas)
+                    assert want > 0.0
+                    assert abs(got - want) <= 1e-12 * want
+                table = cfg.tau_table
+                narrow += 2 * np.max(table.hi - table.lo + 1) < table.ngrid
+        assert narrow > 0
 
     def test_factor_norm_factorization(self):
         """The factored F-norm equals the generic windowed norm."""

@@ -127,9 +127,17 @@ def test_scenario_envelope_runs(tmp_path):
     assert os.path.exists(str(tmp_path / "out" / "envelope.csv"))
     man = json.loads(open(str(tmp_path / "out" / "envelope.json")).read())
     assert man["seed"] == 5
+    try:
+        rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                             cwd=os.path.dirname(toruslab.__file__),
+                             capture_output=True, text=True,
+                             check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        rev = None
     assert man["versions"] == {"numpy": np.__version__,
                                "python": platform.python_version(),
-                               "toruslab": toruslab.__version__}
+                               "toruslab": toruslab.__version__,
+                               "git": rev}
     assert set(man["measurements"]) == {"domination", "log_lipschitz",
                                         "envelope_sum"}
     assert [c["name"] for c in man["checks"]] == [n for n, _, _ in result.checks]
