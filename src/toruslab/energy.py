@@ -24,6 +24,9 @@ and Omega the resonance function of the law:
     R6 = 2 lam^-3 * sum i b4 (xi1 F(xi1) v2 u3 v4 + xi2 G(xi2) u1 u3 v4),
          F = coefficients of |u|^2 u, G(xi) = conj(F(-xi))
 
+Both cubes (what, F) come from ``spectral.cubic_coeffs`` on the four-fold
+padded grid, where every slot is exact.
+
 b4 is sigma-independent (the correction enters as sigma * E1; sigma^2 = 1
 drops out of R6).  Q vanishes wherever Omega vanishes on the zero-sum set,
 and the quotient extends smoothly across the resonance set; the extension is
@@ -37,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import dealias_band
-from .spectral import SpectralField, block_indicator, lp_project, max_block, sobolev_norm
+from .spectral import (SpectralField, block_indicator, cubic_coeffs, lp_project,
+                       max_block, sobolev_norm)
 
 TWO_PI_SQ_INV = 1.0 / (2.0 * np.pi) ** 2
 RESONANCE_THETA = 1e-6   # quotient branch iff |Omega| > theta * mu^2
@@ -474,18 +478,12 @@ def e0_energy(sym, u, law):
     return float(np.sum(a * np.abs(u.coeffs) ** 2) / u.lam)
 
 
-def _gamma4_value(sym, u, law, multiplier, band=None, slots=None):
+def _gamma4_value(multiplier, slots, band, lam):
     """Chunked evaluation of lam^-3 sum_Gamma4 multiplier * prod slot values.
 
     multiplier(xi1, xi2, xi3, xi4) -> array; slots is a list of four
-    coefficient tables over |m| <= band (default: four copies of uhat).
+    coefficient tables over |m| <= band.
     """
-    if band is None:
-        band = max(_support_band(u), 1)
-    tab = _coeff_lookup(u, band)
-    if slots is None:
-        slots = [tab, tab, tab, tab]
-    lam = u.lam
     simplex = GridSimplex(4, band, lam)
     total = 0.0 + 0.0j
     for m1, m2, m3, m4 in simplex.chunks():
@@ -521,12 +519,7 @@ def e1_correction(sym, u, law, band=None):
         band = max(_support_band(u), 1)
     slots = _slots_for_law(u, law, band)
     val = _gamma4_value(
-        sym,
-        u,
-        law,
-        lambda *xi: b4_multiplier(sym, xi, law),
-        band=band,
-        slots=slots,
+        lambda *xi: b4_multiplier(sym, xi, law), slots, band, u.lam
     )
     return float(val.real)
 
@@ -541,27 +534,9 @@ def r4_form(sym, u, law, sigma, band=None):
     def mult(x1, x2, x3, x4):
         return 1j * (sym.g(x1) + sym.g(x2) + sym.g(x3) + sym.g(x4))
 
-    val = _gamma4_value(sym, u, law, mult, band=band, slots=slots)
+    val = _gamma4_value(mult, slots, band, u.lam)
     pref = -sigma * TWO_PI_SQ_INV / (6.0 if law.odd else 2.0)
     return float((pref * val).real)
-
-
-def _cube_hat(u, conj_middle):
-    """Exact coefficients of u^3 (or |u|^2 u) on a four-fold padded grid,
-    returned as a lookup table over |m| <= 3 * support band."""
-    g = u.geometry
-    band = _support_band(u)
-    npad = 4 * g.grid_size
-    mv = g.mvals
-    padded = np.zeros(npad, dtype=complex)
-    padded[mv % npad] = u.coeffs
-    uu = np.fft.ifft(padded) * npad / g.period
-    cube = (uu * np.conj(uu) * uu) if conj_middle else uu**3
-    chat = np.fft.fft(cube) * (g.period / npad)
-    out_band = min(3 * band, npad // 2 - 1)
-    m = np.arange(-out_band, out_band + 1)
-    tab = chat[m % npad]
-    return tab, out_band
 
 
 def e0_time_derivative(sym, u, law, sigma, band=None):
@@ -575,15 +550,17 @@ def e0_time_derivative(sym, u, law, sigma, band=None):
     """
     _check_energy_data(u, law)
     g = u.geometry
-    cube, cube_band = _cube_hat(u, conj_middle=not law.odd)
+    mv = g.mvals
+    npad = 4 * g.grid_size
+    cube = cubic_coeffs(u.coeffs, mv % npad, npad, g.period, not law.odd)
+    cube_band = 3 * _support_band(u)  # < 3M/2: exact on the 4M grid
     if band is None:
         band = cube_band
-    mv = g.mvals
     nhat = np.zeros(g.grid_size, dtype=complex)
     sel = np.abs(mv) <= min(band, cube_band)
     xi = g.xi
     factor = sigma * (1j * xi) / (3.0 if law.odd else 1.0)
-    nhat[sel] = factor[sel] * cube[mv[sel] + cube_band]
+    nhat[sel] = factor[sel] * cube[mv[sel] % npad]
     a = sym(xi)
     return float(2.0 * np.sum(a * (np.conj(u.coeffs) * nhat).real) / g.lam)
 
@@ -598,25 +575,24 @@ def r6_form(sym, u, law, sigma=1, band=None):
     if band is None:
         band = dealias_band(g)
     data_band = max(_support_band(u), 1)
-    cube, cube_band = _cube_hat(u, conj_middle=not law.odd)
-    w_band = max(data_band, min(band, cube_band))
+    npad = 4 * g.grid_size
+    cube = cubic_coeffs(u.coeffs, g.mvals % npad, npad, g.period, not law.odd)
+    top = min(band, 3 * _support_band(u))  # cube modes the flow keeps
+    w_band = max(data_band, top)
     wtab = np.zeros(2 * w_band + 1, dtype=complex)
-    m = np.arange(-min(band, cube_band), min(band, cube_band) + 1)
-    wtab[m + w_band] = cube[m + cube_band]
+    m = np.arange(-top, top + 1)
+    wtab[m + w_band] = cube[m % npad]
     utab = _coeff_lookup(u, w_band)
 
     def b4(*xi):
         return b4_multiplier(sym, xi, law)
 
-    lam = u.lam
     if law.odd:
 
         def mult(x1, x2, x3, x4):
             return (4.0 / 3.0) * 1j * b4(x1, x2, x3, x4) * x4
 
-        val = _gamma4_value(
-            sym, u, law, mult, band=w_band, slots=[utab, utab, utab, wtab]
-        )
+        val = _gamma4_value(mult, [utab, utab, utab, wtab], w_band, u.lam)
         return float(val.real)
     bar = np.conj(utab[::-1])
     ftab = wtab
@@ -628,12 +604,8 @@ def r6_form(sym, u, law, sigma=1, band=None):
     def mult2(x1, x2, x3, x4):
         return 2.0 * 1j * b4(x1, x2, x3, x4) * x2
 
-    val1 = _gamma4_value(
-        sym, u, law, mult1, band=w_band, slots=[ftab, bar, utab, bar]
-    )
-    val2 = _gamma4_value(
-        sym, u, law, mult2, band=w_band, slots=[utab, gtab, utab, bar]
-    )
+    val1 = _gamma4_value(mult1, [ftab, bar, utab, bar], w_band, u.lam)
+    val2 = _gamma4_value(mult2, [utab, gtab, utab, bar], w_band, u.lam)
     return float((val1 + val2).real)
 
 

@@ -31,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bumps
-from .evolution import BENJAMIN_ONO, SCHROEDINGER
+from .evolution import BENJAMIN_ONO, SCHROEDINGER, free_rows
 from .spacetime import CHUNK_BYTES
-from .spectral import SpectralField, TorusGeometry, block_indicator, random_field
+from .spectral import (SpectralField, TorusGeometry, block_indicator,
+                       random_field, synthesize)
 
 
 def worker_count():
@@ -165,25 +166,15 @@ def flat_block_data(n, lam=1.0, positive_only=False):
 # free-solution grids
 
 
-def _coeff_rows(u0, law, times):
-    """(n_times, n_active) coefficients of the free solution, plus mvals."""
-    g = u0.geometry
-    nz = np.abs(u0.coeffs) > 0.0
-    mv = g.mvals[nz]
-    c = u0.coeffs[nz]
-    om = law.omega(mv / g.lam)
-    return c[None, :] * np.exp(1j * np.outer(times, om)), mv
-
-
 def free_solution_grid(u0, law, times, nx):
     """Physical samples of exp(i t omega) u0 on an nx-point spatial grid."""
     g = u0.geometry
-    rows, mv = _coeff_rows(u0, law, times)
+    nz = np.abs(u0.coeffs) > 0.0
+    mv = g.mvals[nz]
     if nx <= 2 * int(np.max(np.abs(mv), initial=0)):
         raise ValueError("spatial grid too coarse for the data bandwidth")
-    a = np.zeros((len(times), nx), dtype=complex)
-    a[:, mv % nx] = rows
-    return np.fft.ifft(a, axis=1) * nx / g.period
+    rows = free_rows(u0.coeffs[nz], mv / g.lam, times, law)
+    return synthesize(rows, mv % nx, nx, g.period)
 
 
 def _lp_x(vals, lam, p):
@@ -269,10 +260,8 @@ def l4_modulation_ratio(j_values, block=3, lam=1.0, seed=0, count=32,
         for c in coeff_sets:
             # temporal profile per mode: |tau - omega| <= 2^j exactly
             prof = np.exp(1j * np.outer(t, rmod)) @ (c.T)  # (nt, nm)
-            rows = prof * np.exp(1j * np.outer(t, om))
-            a = np.zeros((nt, nx), dtype=complex)
-            a[:, msel % nx] = rows
-            vals = np.fft.ifft(a, axis=1) * nx / g.period
+            vals = synthesize(free_rows(prof, msel / lam, t, law), msel % nx,
+                              nx, g.period)
             dx = g.period / nx
             dt = 2.0 * np.pi / nt
             l2 = np.sqrt(dt * dx * np.sum(np.abs(vals) ** 2))
@@ -383,16 +372,16 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
     return make_report(name, points, 0.0, slope_tol, skipped=skipped)
 
 
-def _maximal_smoothing_values(u0, law, n, lam, interval_factor=1.0):
-    times = _time_grid(n, lam, interval_factor=interval_factor)
-    nx = _block_nx(u0)
-    vals = free_solution_grid(u0, law, times, nx)
-    sup_t = np.max(np.abs(vals), axis=0)
-    dx = 2.0 * np.pi * lam / nx
-    l4_linf = float((dx * np.sum(sup_t**4)) ** 0.25)
-    l2_t = np.sqrt(np.trapezoid(np.abs(vals) ** 2, times, axis=0))
-    linf_l2 = float(np.max(l2_t))
-    return l4_linf, linf_l2
+def _maximal_norm(u0, law, times):
+    """||u||_{L4_x Linf_t} of the free solution over the time grid."""
+    vals = free_solution_grid(u0, law, times, _block_nx(u0))
+    return float(_lp_x(np.max(np.abs(vals), axis=0), u0.lam, 4))
+
+
+def _smoothing_norm(u0, law, times):
+    """||u||_{Linf_x L2_t} of the free solution over the time grid."""
+    vals = free_solution_grid(u0, law, times, _block_nx(u0))
+    return float(np.max(np.sqrt(np.trapezoid(np.abs(vals) ** 2, times, axis=0))))
 
 
 def maximal_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
@@ -407,12 +396,10 @@ def maximal_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
         samples = [ens.sample(i) for i in range(count)]
         if include_coherent:
             samples.append(flat_block_data(n, lam))
+        times = _time_grid(n, lam, interval_factor=interval_factor)
 
         def one(u0):
-            l4_linf, _ = _maximal_smoothing_values(
-                u0, law, n, lam, interval_factor=interval_factor
-            )
-            return l4_linf / (2.0 ** (n / 4.0) * u0.l2_norm())
+            return _maximal_norm(u0, law, times) / (2.0 ** (n / 4.0) * u0.l2_norm())
 
         ratios = parallel_map(one, samples)
         mx, mean, kept = _ensemble_ratios(ratios)
@@ -439,6 +426,7 @@ def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
         samples = [ens.sample(i) for i in range(count)]
         if include_coherent:
             samples.append(flat_block_data(n, lam, positive_only=positive_only))
+        times = _time_grid(n, lam)
         ratios = []
         for u0 in samples:
             if positive_only:
@@ -448,7 +436,7 @@ def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
                     skipped += 1
                     continue
                 u0 = u0 * (1.0 / u0.l2_norm())
-            _, linf_l2 = _maximal_smoothing_values(u0, law, n, lam)
+            linf_l2 = _smoothing_norm(u0, law, times)
             norm = 2.0 ** (-n / 2.0)
             if log_normalized:
                 norm *= max(float(n), 1.0)
@@ -537,7 +525,6 @@ TRILINEAR_CLASSES = {
 
 
 TRILINEAR_TAU_BINS = 8  # spike-grid delta-tau = 2^k4 / this
-KERNEL_TOL = 1e-9  # window-profile transform trimmed below this share of its peak
 
 
 def _block_lattice(k, lam):
@@ -714,7 +701,9 @@ class TrilinearConfig:
         return bumps.eta0(t / self.env_scale)
 
     def window_profile(self, center):
-        """Transform of envelope^3 * eta0(2^k4 (t - center)), trimmed."""
+        """Transform of envelope^3 * eta0(2^k4 (t - center)) on multiples of
+        dtau across the whole band of its padded FFT, with its half-width
+        in bins."""
         k4 = self.ks[3]
         half = bumps.OUTER * 2.0**-k4
         dt = 2.0**-k4 / 64.0
@@ -728,10 +717,8 @@ class TrilinearConfig:
         ft = ft * np.exp(-1j * taus * t[0])
         order = np.argsort(taus)
         taus, ft = taus[order], ft[order]
-        keep = np.abs(ft) > KERNEL_TOL * np.max(np.abs(ft))
-        lo, hi = np.argmax(keep), len(keep) - np.argmax(keep[::-1])
         # resample onto multiples of dtau centered at zero
-        nk = int(np.ceil(max(abs(taus[lo]), abs(taus[hi - 1])) / self.dtau))
+        nk = int(np.ceil(max(abs(taus[0]), abs(taus[-1])) / self.dtau))
         kgrid = self.dtau * np.arange(-nk, nk + 1)
         kr = np.interp(kgrid, taus, ft.real)
         ki = np.interp(kgrid, taus, ft.imag)

@@ -10,10 +10,11 @@ omega(xi) = -xi|xi| resp. -xi^2, and a cubic Nhat evaluated pseudospectrally.
 
 Time stepping is integrating-factor RK4: the stiff diagonal phase is handled
 exactly, classical RK4 acts on the slow interaction-picture variable.  Cubic
-products are computed on a twice-padded grid (exact for every retained mode)
-and the result is truncated to the band |m| <= M/3, so the semi-discrete
-system is an exact Galerkin truncation and conserves mass and energy in
-continuous time; the only drift is the RK4 time error.
+products come from ``spectral.cubic_coeffs`` on a twice-padded grid (exact for
+every retained mode) and the result is truncated to the band |m| <= M/3, so
+the semi-discrete system is an exact Galerkin truncation and conserves mass
+and energy in continuous time; the only drift is the RK4 time error.  The
+free solution's (times, modes) coefficient table is built by ``free_rows``.
 
 Stability note: the linear part imposes no step restriction.  The default
 step dt = 0.5 / max|omega| keeps the phase of the nonlinear interaction
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGeometry, _negation_index
+from .spectral import (SpectralField, TorusGeometry, _negation_index,
+                       cubic_coeffs)
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -82,6 +84,12 @@ def free_evolve(f, t, law):
     return SpectralField(f.geometry, f.coeffs * phase, real=f.real and keeps_reality)
 
 
+def free_rows(coeffs, xi, times, law):
+    """Coefficients exp(i t omega(xi)) * coeffs of the free solution, one row
+    per time; coeffs may also be a (times, modes) table."""
+    return coeffs * np.exp(1j * np.outer(times, law.omega(xi)))
+
+
 def dealias_band(geometry):
     """Retained band |m| <= M/3 (cubic products computed exactly, then cut)."""
     return geometry.grid_size // 3
@@ -90,18 +98,6 @@ def dealias_band(geometry):
 def project_band(f, band):
     mask = np.abs(f.geometry.mvals) <= band
     return SpectralField(f.geometry, np.where(mask, f.coeffs, 0.0), real=f.real)
-
-
-def _cubic_coeffs(coeffs, slots, period, conjugate_middle):
-    """Fourier coefficients of u^3 (or |u|^2 u), exact on a 2x padded grid;
-    slots = mvals % (2 M) places the M modes on that grid."""
-    npad = 2 * coeffs.size
-    padded = np.zeros(npad, dtype=complex)
-    padded[slots] = coeffs
-    u = np.fft.ifft(padded) * npad / period
-    cube = (u * np.conj(u) * u) if conjugate_middle else u**3
-    chat = np.fft.fft(cube) * (period / npad)
-    return chat[slots]
 
 
 class FlowIntegrator:
@@ -113,7 +109,8 @@ class FlowIntegrator:
         self.geometry = g
         self.band = dealias_band(g)
         self.band_mask = np.abs(g.mvals) <= self.band
-        self._slots = g.mvals % (2 * g.grid_size)
+        self._npad = 2 * g.grid_size
+        self._slots = g.mvals % self._npad  # the M modes on the padded grid
         xi = g.xi
         omega = problem.law.omega(xi)
         omega_max = float(np.max(np.abs(omega[self.band_mask])))
@@ -133,8 +130,8 @@ class FlowIntegrator:
             self._conj_mid = True
 
     def nonlinearity(self, coeffs):
-        chat = _cubic_coeffs(coeffs, self._slots, self.geometry.period,
-                             self._conj_mid)
+        chat = cubic_coeffs(coeffs, self._slots, self._npad,
+                            self.geometry.period, self._conj_mid)[self._slots]
         return np.where(self.band_mask, self._mult * chat, 0.0)
 
     def step(self, coeffs):

@@ -110,16 +110,20 @@ def git_revision():
     return out.stdout.strip() or None
 
 
+def _write_csv(path, header, rows):
+    """Write the header line and one comma-joined line per row of strings."""
+    lines = [header] + [",".join(row) for row in rows]
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
 def emit_report(reports, csv_path, manifest_path=None, config_echo=None,
                 seed=None, wall_times=None, measurements=None, checks=()):
     """Write the fixed-schema CSV and a JSON run manifest."""
-    lines = [CSV_HEADER]
-    for rep in reports:
-        for row in report_rows(rep):
-            lines.append(",".join(row))
-    os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(csv_path, CSV_HEADER,
+               [row for rep in reports for row in report_rows(rep)])
     if manifest_path is not None:
         manifest = {
             "config": config_echo or {},
@@ -168,13 +172,8 @@ def trajectory_rows(traj, s):
 
 
 def write_trajectory_csv(traj, s, path):
-    lines = ["t,l2_norm,energy,sobolev_norm"]
-    for row in trajectory_rows(traj, s):
-        lines.append(",".join(fmt(x) for x in row))
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_csv(path, "t,l2_norm,energy,sobolev_norm",
+                      [map(fmt, row) for row in trajectory_rows(traj, s)])
 
 
 def energy_series_rows(report):
@@ -196,13 +195,8 @@ def energy_series_rows(report):
 
 
 def write_energy_series_csv(report, path):
-    lines = ["t,e0,e1,r4,r6,de0_dt,dcorrected_dt"]
-    for row in energy_series_rows(report):
-        lines.append(",".join(fmt(x) for x in row))
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_csv(path, "t,e0,e1,r4,r6,de0_dt,dcorrected_dt",
+                      [map(fmt, row) for row in energy_series_rows(report)])
 
 
 def read_reports_csv(path):

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bumps
+from .evolution import free_rows
 from .spectral import block_indicator, max_block
 
 TAU_BINS_PER_WINDOW_SCALE = 32  # delta-tau = 2^k / this
@@ -129,10 +130,8 @@ def modulated_profile_field(geometry, mvals, tgrid, profile, envelope, law):
     shaped by a slow temporal envelope."""
     mvals = np.asarray(mvals, dtype=int)
     t = np.asarray(tgrid, dtype=float)
-    xi = mvals / geometry.lam
-    phases = np.exp(1j * np.outer(t, law.omega(xi)))
     env = np.asarray(envelope, dtype=complex)
-    vals = phases * profile[None, :] * env[:, None]
+    vals = free_rows(profile, mvals / geometry.lam, t, law) * env[:, None]
     return SpaceTimeField(geometry, mvals, t, vals, (float(t[0]), float(t[-1])))
 
 

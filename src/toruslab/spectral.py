@@ -15,6 +15,12 @@ norm of f equals (2*pi*lam)^-1 * sum |fhat|^2 (Plancherel / Parseval pair).
 Coefficients are stored in numpy fft order.  The Nyquist slot m = -M/2 is kept
 identically zero so the retained lattice is symmetric: |m| <= M/2 with the
 band edge annihilated.
+
+Every lattice-to-grid synthesis in the package goes through ``synthesize``
+(coefficients scattered onto a zero-padded n-point grid, one inverse FFT),
+and every cubic product through ``cubic_coeffs`` (the cube of that synthesis,
+transformed back): the flow's nonlinearity on the 2M grid, the energies'
+cubic contractions on the 4M grid, and the free-solution grids.
 """
 
 from dataclasses import dataclass
@@ -179,14 +185,29 @@ def forward_transform(samples, geometry):
     return SpectralField(geometry, coeffs, real=is_real)
 
 
+def synthesize(coeffs, slots, n, period):
+    """Samples on the n-point grid of the torus of circumference ``period``
+    of the field whose coefficients (last axis; leading axes batch) sit at
+    grid slots ``slots``."""
+    a = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+    a.T[slots] = coeffs.T  # a[..., slots] = coeffs, minus its slow 1-D path
+    return np.fft.ifft(a, axis=-1) * n / period
+
+
+def cubic_coeffs(coeffs, slots, n, period, conjugate_middle):
+    """All n grid coefficients of u^3 (or u conj(u) u) for the field
+    synthesized by ``synthesize``.  With the data in |m| <= band, the slot of
+    mode m is alias-free, hence exact, when |m| < n - 3 * band."""
+    u = synthesize(coeffs, slots, n, period)
+    cube = (u * np.conj(u) * u) if conjugate_middle else u**3
+    return np.fft.fft(cube) * (period / n)
+
+
 def inverse_transform(f, oversample=1):
     """Invert the transform; ``oversample`` refines the grid by zero padding."""
     g = f.geometry
     n = g.grid_size * int(oversample)
-    padded = np.zeros(n, dtype=complex)
-    mv = g.mvals
-    padded[mv % n] = f.coeffs
-    vals = np.fft.ifft(padded) * n / g.period
+    vals = synthesize(f.coeffs, g.mvals % n, n, g.period)
     if f.real:
         return vals.real
     return vals

@@ -148,3 +148,32 @@ def test_geometry_validation():
         sp.TorusGeometry(0.5, 256)
     with pytest.raises(ValueError):
         sp.TorusGeometry(1.0, 100)
+
+
+def _direct_cube(c, conjugate_middle, period):
+    """Coefficients of u^3 (or u conj(u) u) over |m| <= 3 b by direct triple
+    convolution of the coefficient vector c[m + b], |m| <= b."""
+    mid = np.conj(c[::-1]) if conjugate_middle else c
+    return np.convolve(np.convolve(c, mid), c) / period**2
+
+
+@pytest.mark.parametrize("conjugate_middle", [False, True])
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_cubic_coeffs_alias_free(conjugate_middle, lam):
+    """At n = 2M with data in |m| <= M/3 every retained mode is exact, and
+    at n = 4M with the full band every mode of the cube is."""
+    rng = np.random.default_rng(11)
+    m_size = 64
+    g = sp.TorusGeometry(lam, m_size)
+    mv = g.mvals
+    for factor, band in ((2, m_size // 3), (4, m_size // 2 - 1)):
+        u = sp.random_field(g, rng, band=band)
+        n = factor * m_size
+        got = sp.cubic_coeffs(u.coeffs, mv % n, n, g.period, conjugate_middle)
+        c = np.zeros(2 * band + 1, dtype=complex)
+        live = np.abs(mv) <= band
+        c[mv[live] + band] = u.coeffs[live]
+        want = _direct_cube(c, conjugate_middle, g.period)
+        modes = mv if factor == 2 else np.arange(-3 * band, 3 * band + 1)
+        err = np.max(np.abs(got[modes % n] - want[modes + 3 * band]))
+        assert err <= 1e-12 * np.max(np.abs(want))
