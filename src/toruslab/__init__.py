@@ -76,11 +76,11 @@ from .energy import (
     resonance_function,
 )
 from .estimates import (
-    Ensemble,
     EstimateReport,
     RatioPoint,
     TrilinearConfig,
     bilinear_ratio,
+    block_sample,
     fit_exponent,
     flat_block_data,
     l4_modulation_ratio,

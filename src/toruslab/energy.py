@@ -120,20 +120,24 @@ class DyadicSymbol:
     s: float
     eps: float
     table: np.ndarray = None   # log2 of block values, index = block exponent
-    _kind: str = "power"
+
+    def __post_init__(self):
+        if self.table is not None:
+            t = np.asarray(self.table, dtype=float)
+            if t.ndim != 1 or t.size < 2:
+                raise ValueError("need at least two block values")
+            if not np.all(np.isfinite(t)):
+                raise ValueError(
+                    "block value table must be finite (no zero entries)")
+            object.__setattr__(self, "table", t)
 
     @classmethod
     def from_exponent(cls, s, eps=0.05):
-        return cls(s=s, eps=eps, table=None, _kind="power")
+        return cls(s=s, eps=eps)
 
     @classmethod
     def from_blocks(cls, log2_values, s, eps):
-        t = np.asarray(log2_values, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise ValueError("need at least two block values")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("block value table must be finite (no zero entries)")
-        return cls(s=s, eps=eps, table=t, _kind="blocks")
+        return cls(s=s, eps=eps, table=log2_values)
 
     def _loglog(self, xi):
         """A(t), A'(t) at t = log2 <xi>, by smoothed linear interpolation."""
@@ -158,14 +162,14 @@ class DyadicSymbol:
 
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
-        if self._kind == "power":
+        if self.table is None:
             return (1.0 + xi**2) ** self.s
         val, _, _ = self._loglog(xi)
         return 2.0**val
 
     def deriv(self, xi):
         xi = np.asarray(xi, dtype=float)
-        if self._kind == "power":
+        if self.table is None:
             return 2.0 * self.s * xi * (1.0 + xi**2) ** (self.s - 1.0)
         val, der, _ = self._loglog(xi)
         return 2.0**val * der * xi / (1.0 + xi**2)
@@ -178,9 +182,9 @@ class DyadicSymbol:
     def g_prime(self, xi):
         return self(xi) + np.asarray(xi, dtype=float) * self.deriv(xi)
 
-    def g_double_prime(self, xi, h_rel=1e-4):
+    def g_double_prime(self, xi):
         xi = np.asarray(xi, dtype=float)
-        h = h_rel * np.sqrt(1.0 + xi**2)
+        h = 1e-4 * np.sqrt(1.0 + xi**2)
         return (self.g_prime(xi + h) - self.g_prime(xi - h)) / (2.0 * h)
 
 
@@ -225,7 +229,7 @@ def check_growth_window(sym, xi_max, n=256):
     xi = np.exp(np.linspace(np.log(4.0), np.log(xi_max), n))
     ratio = np.log(sym(xi)) / np.log(1.0 + xi**2)
     headroom = 0.0
-    if sym._kind == "blocks":
+    if sym.table is not None:
         k = np.arange(sym.table.size)
         headroom = float(np.max(np.abs(sym.table - 2.0 * sym.s * k)))
     allowance = sym.eps + headroom / np.log2(1.0 + xi**2)
@@ -344,13 +348,13 @@ def _best_pairing(xi1, xi2, xi3, xi4):
     return z1, z2, z3, z4
 
 
-def b4_multiplier(sym, xi, law, theta_res=RESONANCE_THETA):
+def b4_multiplier(sym, xi, law):
     """Correction multiplier on the zero-sum set (+1-sign normalization).
 
-    ``xi`` is a tuple of four equal-shape arrays summing to zero.  Off the
-    resonance set (|Omega| > theta * mu^2) the defining quotient is returned;
-    on and near it, the smooth extension through the divided-difference
-    decompositions.  Both branches agree to rounding in the overlap.
+    ``xi`` is a tuple of four equal-shape arrays summing to zero.  Where
+    |Omega| > RESONANCE_THETA * mu^2 the defining quotient is returned,
+    elsewhere the smooth extension through the divided-difference
+    decompositions; both branches agree to rounding in the overlap.
     """
     xi1, xi2, xi3, xi4 = (np.asarray(x, dtype=float) for x in xi)
     shape = np.broadcast_shapes(xi1.shape, xi2.shape, xi3.shape, xi4.shape)
@@ -359,7 +363,7 @@ def b4_multiplier(sym, xi, law, theta_res=RESONANCE_THETA):
     if np.any(np.abs(xi1 + xi2 + xi3 + xi4) > 1e-9 * np.maximum(mu, 1.0)):
         raise ValueError("tuple is not on the zero-sum set")
     omega = resonance_function(law, xi1, xi2, xi3, xi4)
-    quot = np.abs(omega) > theta_res * np.maximum(mu, 1.0) ** 2
+    quot = np.abs(omega) > RESONANCE_THETA * np.maximum(mu, 1.0) ** 2
     ratio = np.empty(shape, dtype=float)
     if np.any(quot):
         qq = (

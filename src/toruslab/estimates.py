@@ -6,7 +6,10 @@ mean left/right ratios, the least-squares slope of log2(max ratio) against
 the sweep coordinate, and a verdict comparing the slope to its prediction.
 Reports are pure functions of (seed, configuration): samples are drawn from
 per-index generators, so enlarging an ensemble extends it and parallel or
-serial evaluation orders agree bit for bit.
+serial evaluation orders agree bit for bit.  The five dispersive families
+share one loop, _family_report, which skips a member exactly when its ratio
+is not finite and positive (an empty one-sided projection or a zero
+denominator gives nan) and counts each skip once, as trilinear_ratio does.
 
 Free solutions are evaluated on exactly sufficient space-time grids: the
 spatial grid resolves the highest product bandwidth (quadratures of |u|^p are
@@ -37,20 +40,14 @@ from .spectral import (SpectralField, TorusGeometry, block_indicator,
                        random_field, synthesize)
 
 
-def worker_count():
-    """Thread override for embarrassingly parallel loops (reduction order is
-    fixed by sample index either way)."""
-    try:
-        return max(1, int(os.environ.get("TORUSLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def parallel_map(fn, items):
     """Map over ensemble items, threaded when TORUSLAB_THREADS > 1; results
     are returned in input order so reductions agree bit for bit with the
     serial run."""
-    n = worker_count()
+    try:
+        n = max(1, int(os.environ.get("TORUSLAB_THREADS", "1")))
+    except ValueError:
+        n = 1
     items = list(items)
     if n <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -125,41 +122,47 @@ def make_report(estimate_id, points, predicted_slope, slope_tol,
     )
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Deterministic family of unit-L2 Gaussian block data."""
+def _block_geometry(n, lam):
+    """Power-of-two grid (at least 16) with 4x headroom over block n."""
+    m = bumps.next_pow2(int(8 * 2 ** (n + 1) * lam))
+    return TorusGeometry(lam, max(m, 16))
 
-    seed: int
-    count: int
-    block: int
-    lam: float = 1.0
-    grid_size: int = 0  # 0: smallest power of two with 4x block headroom
-    real: bool = False
 
-    def geometry(self):
-        m = self.grid_size
-        if m == 0:
-            m = bumps.next_pow2(int(8 * 2 ** (self.block + 1) * self.lam))
-            m = max(m, 16)
-        return TorusGeometry(self.lam, m)
-
-    def sample(self, i):
-        rng = sample_rng(self.seed, i)
-        return random_field(
-            self.geometry(), rng, block=self.block, real=self.real, unit_l2=True
-        )
+def block_sample(seed, i, n, lam):
+    """Member i of the deterministic unit-L2 Gaussian family on block n."""
+    return random_field(_block_geometry(n, lam), sample_rng(seed, i), block=n)
 
 
 def flat_block_data(n, lam=1.0, positive_only=False):
     """Unit-L2 data with constant coefficients on the block: the coherent
     (Dirichlet-kernel) candidate that saturates sup-type constants which
     Gaussian bulk samples systematically underestimate."""
-    g = Ensemble(seed=0, count=1, block=n, lam=lam).geometry()
+    g = _block_geometry(n, lam)
     mask = block_indicator(g.xi, n)
     if positive_only:
         mask &= g.mvals > 0
     u = SpectralField(g, np.where(mask, 1.0 + 0.0j, 0.0))
     return u * (1.0 / u.l2_norm())
+
+
+def _block_members(seed, count, n, lam, coherent, positive_only=False):
+    """Members 0..count-1 of the Gaussian family on block n, then (if
+    ``coherent``) the flat candidate."""
+    members = [block_sample(seed, i, n, lam) for i in range(count)]
+    if coherent:
+        members.append(flat_block_data(n, lam, positive_only=positive_only))
+    return members
+
+
+def _one_sided(u0, sign):
+    """Unit-L2 projection of u0 onto the modes m with sign * m > 0, or None
+    when that side is empty."""
+    g = u0.geometry
+    u = SpectralField(g, np.where(sign * g.mvals > 0, u0.coeffs, 0.0))
+    norm = u.l2_norm()
+    if norm == 0.0:
+        return None
+    return u * (1.0 / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +194,12 @@ def _lq_t(series, times, q):
     return float(np.trapezoid(np.asarray(series) ** q, times) ** (1.0 / q))
 
 
-def _time_grid(n, lam, interval_factor=1.0, floor=65, oversample=4):
-    """Grid over [0, interval_factor * 2^-n] resolving the intra-block phase
-    spread of block n data (Schroedinger law scale)."""
+def _time_grid(n, interval_factor=1.0):
+    """Grid over [0, interval_factor * 2^-n], at least 65 points and four per
+    2 pi of the intra-block phase spread of block n (Schroedinger scale)."""
     delta = interval_factor * 2.0**-n
     spread = 3.0 * 4.0 ** (n + 1)
-    nt = max(floor, int(oversample * spread * delta / (2.0 * np.pi)) + 2)
+    nt = max(65, int(4 * spread * delta / (2.0 * np.pi)) + 2)
     return np.linspace(0.0, delta, nt)
 
 
@@ -217,6 +220,21 @@ def _ensemble_ratios(values):
     return float(np.max(vals)), float(np.mean(vals)), int(vals.size)
 
 
+def _family_report(name, sweep, lam, block, slope_tol):
+    """The loop of every dispersive family: ``block(x)`` returns the members
+    at sweep value x and the ratio of one member; the ratios come from
+    parallel_map.  A member whose ratio is not finite and positive is
+    skipped; the report counts each skipped member once."""
+    points = []
+    skipped = 0
+    for x in sweep:
+        members, ratio = block(x)
+        mx, mean, kept = _ensemble_ratios(parallel_map(ratio, members))
+        skipped += len(members) - kept
+        points.append(RatioPoint(float(x), lam, mx, mean))
+    return make_report(name, points, 0.0, slope_tol, skipped=skipped)
+
+
 # ---------------------------------------------------------------------------
 # linear estimates
 
@@ -234,19 +252,18 @@ def l4_modulation_ratio(j_values, block=3, lam=1.0, seed=0, count=32,
     sel = block_indicator(g.xi, block) & (np.abs(mv) > 0)
     msel = np.sort(mv[sel])
     om = law.omega(msel / lam)
-    points = []
-    skipped = 0
-    for j in j_values:
+
+    def members_at(j):
         nmod = 2**j
         rmod = np.arange(-nmod, nmod + 1)
         spread = float(np.max(np.abs(om))) + nmod
         nt = bumps.next_pow2(int(16 * spread) + 16)
         nx = bumps.next_pow2(8 * int(np.max(np.abs(msel))) + 8)
         t = 2.0 * np.pi * np.arange(nt) / nt
-        coeff_sets = []
+        members = []
         for i in range(count):
             rng = sample_rng(seed, 97 * j + i)
-            coeff_sets.append(
+            members.append(
                 rng.standard_normal((msel.size, rmod.size))
                 + 1j * rng.standard_normal((msel.size, rmod.size))
             )
@@ -255,9 +272,9 @@ def l4_modulation_ratio(j_values, block=3, lam=1.0, seed=0, count=32,
             width = max(1, int(round(2.0 ** (j / 2.0) * lam)))
             pos = np.where(msel > 0)[0][:width]
             box[np.ix_(pos, np.where(rmod >= 0)[0])] = 1.0
-            coeff_sets.append(box)
-        ratios = []
-        for c in coeff_sets:
+            members.append(box)
+
+        def ratio(c):
             # temporal profile per mode: |tau - omega| <= 2^j exactly
             prof = np.exp(1j * np.outer(t, rmod)) @ (c.T)  # (nt, nm)
             vals = synthesize(free_rows(prof, msel / lam, t, law), msel % nx,
@@ -267,13 +284,13 @@ def l4_modulation_ratio(j_values, block=3, lam=1.0, seed=0, count=32,
             l2 = np.sqrt(dt * dx * np.sum(np.abs(vals) ** 2))
             l4 = (dt * dx * np.sum(np.abs(vals) ** 4)) ** 0.25
             if l2 == 0.0:
-                skipped += 1
-                continue
-            ratios.append(l4 / (2.0 ** (3.0 * j / 8.0) * l2))
-        mx, mean, kept = _ensemble_ratios(ratios)
-        skipped += len(coeff_sets) - kept
-        points.append(RatioPoint(float(j), lam, mx, mean))
-    return make_report("l4_modulation", points, 0.0, slope_tol, skipped=skipped)
+                return np.nan
+            return l4 / (2.0 ** (3.0 * j / 8.0) * l2)
+
+        return members, ratio
+
+    return _family_report("l4_modulation", j_values, lam, members_at,
+                          slope_tol)
 
 
 def admissible(q, p):
@@ -293,26 +310,18 @@ def strichartz_ratio(q, p, n_values, lam=1.0, seed=0, count=32,
     flat-coefficient candidate, which carries the sup-type behaviour."""
     if not admissible(q, p):
         raise ValueError(f"({q}, {p}) is not an admissible shorttime pair")
-    points = []
-    skipped = 0
-    for n in n_values:
-        ens = Ensemble(seed=seed, count=count, block=n, lam=lam)
-        times = _time_grid(n, lam)
-        samples = [ens.sample(i) for i in range(count)]
-        if include_coherent:
-            samples.append(flat_block_data(n, lam))
 
-        def one(u0):
-            nx = _block_nx(u0)
-            vals = free_solution_grid(u0, law, times, nx)
+    def members_at(n):
+        times = _time_grid(n)
+
+        def ratio(u0):
+            vals = free_solution_grid(u0, law, times, _block_nx(u0))
             return _lq_t(_lp_x(vals, lam, p), times, q) / u0.l2_norm()
 
-        ratios = parallel_map(one, samples)
-        mx, mean, kept = _ensemble_ratios(ratios)
-        skipped += len(samples) - kept
-        points.append(RatioPoint(float(n), lam, mx, mean))
-    return make_report(f"strichartz_q{q}_p{p}", points, 0.0, slope_tol,
-                       skipped=skipped)
+        return _block_members(seed, count, n, lam, include_coherent), ratio
+
+    return _family_report(f"strichartz_q{q}_p{p}", n_values, lam, members_at,
+                          slope_tol)
 
 
 def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
@@ -324,52 +333,42 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
     Requires n - k >= 4, or ``separated`` data (both factors at scale 2^n
     with opposite-sign supports, separation >= 2^n).
     """
-    points = []
-    skipped = 0
-    for n in n_values:
-        if not separated and n - k < 4:
-            raise ValueError("blocks must satisfy n - k >= 4 (or use separation)")
-        ens_u = Ensemble(seed=seed, count=count, block=n, lam=lam)
+    if not separated and any(n - k < 4 for n in n_values):
+        raise ValueError("blocks must satisfy n - k >= 4 (or use separation)")
+
+    def members_at(n):
         kv = n if separated else k
-        ens_v = Ensemble(seed=seed + 104729, count=count, block=kv, lam=lam)
-        times = _time_grid(n, lam)
-        pairs = [(ens_u.sample(i), ens_v.sample(i)) for i in range(count)]
-        if include_coherent:
-            pairs.append((flat_block_data(n, lam), flat_block_data(kv, lam)))
-        ratios = []
-        for u0, v0 in pairs:
+        times = _time_grid(n)
+        pairs = list(zip(
+            _block_members(seed, count, n, lam, include_coherent),
+            _block_members(seed + 104729, count, kv, lam, include_coherent),
+        ))
+
+        def ratio(pair):
+            u0, v0 = pair
             if separated:
                 # one-sided supports with distance >= 2 * 2^n
-                gu = u0.geometry
-                cu = np.where(gu.mvals > 0, u0.coeffs, 0.0)
-                cv = np.where(v0.geometry.mvals < 0, v0.coeffs, 0.0)
-                u0 = SpectralField(gu, cu)
-                v0 = SpectralField(v0.geometry, cv)
-                if u0.l2_norm() == 0.0 or v0.l2_norm() == 0.0:
-                    skipped += 1
-                    continue
-                u0 = u0 * (1.0 / u0.l2_norm())
-                v0 = v0 * (1.0 / v0.l2_norm())
+                u0, v0 = _one_sided(u0, 1), _one_sided(v0, -1)
+                if u0 is None or v0 is None:
+                    return np.nan
             nx = _block_nx(u0, v0)
             uu = free_solution_grid(u0, law, times, nx)
             vv = free_solution_grid(v0, law, times, nx)
             if conjugated:
                 vv = np.conj(vv)
-            prod = uu * vv
-            lhs = _lq_t(_lp_x(prod, lam, 2), times, 2)
+            lhs = _lq_t(_lp_x(uu * vv, lam, 2), times, 2)
             denom = 2.0 ** (-n / 2.0) * u0.l2_norm() * v0.l2_norm()
             if denom == 0.0:
-                skipped += 1
-                continue
-            ratios.append(lhs / denom)
-        mx, mean, kept = _ensemble_ratios(ratios)
-        skipped += len(pairs) - kept
-        points.append(RatioPoint(float(n), lam, mx, mean))
+                return np.nan
+            return lhs / denom
+
+        return pairs, ratio
+
     # after dividing by 2^(-n/2) the predicted residual slope is zero
     name = "bilinear_conj" if conjugated else "bilinear"
     if separated:
         name += "_separated"
-    return make_report(name, points, 0.0, slope_tol, skipped=skipped)
+    return _family_report(name, n_values, lam, members_at, slope_tol)
 
 
 def _maximal_norm(u0, law, times):
@@ -389,23 +388,16 @@ def maximal_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
     """Maximal function bound ||u||_{L4_x Linf_t([0, 2^-n])} against
     N^(1/4) ||u0||; predicted residual slope 0 after normalization (the raw
     ratio then grows at the predicted quarter power)."""
-    points = []
-    skipped = 0
-    for n in n_values:
-        ens = Ensemble(seed=seed, count=count, block=n, lam=lam)
-        samples = [ens.sample(i) for i in range(count)]
-        if include_coherent:
-            samples.append(flat_block_data(n, lam))
-        times = _time_grid(n, lam, interval_factor=interval_factor)
 
-        def one(u0):
+    def members_at(n):
+        times = _time_grid(n, interval_factor)
+
+        def ratio(u0):
             return _maximal_norm(u0, law, times) / (2.0 ** (n / 4.0) * u0.l2_norm())
 
-        ratios = parallel_map(one, samples)
-        mx, mean, kept = _ensemble_ratios(ratios)
-        skipped += len(samples) - kept
-        points.append(RatioPoint(float(n), lam, mx, mean))
-    return make_report("maximal", points, 0.0, slope_tol, skipped=skipped)
+        return _block_members(seed, count, n, lam, include_coherent), ratio
+
+    return _family_report("maximal", n_values, lam, members_at, slope_tol)
 
 
 def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
@@ -419,35 +411,28 @@ def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
     tested data saturates that logarithm, so those ratios decay slowly and
     only the no-growth direction is meaningful.
     """
-    points = []
-    skipped = 0
-    for n in n_values:
-        ens = Ensemble(seed=seed, count=count, block=n, lam=lam)
-        samples = [ens.sample(i) for i in range(count)]
-        if include_coherent:
-            samples.append(flat_block_data(n, lam, positive_only=positive_only))
-        times = _time_grid(n, lam)
-        ratios = []
-        for u0 in samples:
+
+    def members_at(n):
+        times = _time_grid(n)
+        norm = 2.0 ** (-n / 2.0)
+        if log_normalized:
+            norm *= max(float(n), 1.0)
+
+        def ratio(u0):
             if positive_only:
-                c = np.where(u0.geometry.mvals > 0, u0.coeffs, 0.0)
-                u0 = SpectralField(u0.geometry, c)
-                if u0.l2_norm() == 0.0:
-                    skipped += 1
-                    continue
-                u0 = u0 * (1.0 / u0.l2_norm())
-            linf_l2 = _smoothing_norm(u0, law, times)
-            norm = 2.0 ** (-n / 2.0)
-            if log_normalized:
-                norm *= max(float(n), 1.0)
-            ratios.append(linf_l2 / (norm * u0.l2_norm()))
-        mx, mean, kept = _ensemble_ratios(ratios)
-        skipped += len(samples) - kept
-        points.append(RatioPoint(float(n), lam, mx, mean))
+                u0 = _one_sided(u0, 1)
+                if u0 is None:
+                    return np.nan
+            return _smoothing_norm(u0, law, times) / (norm * u0.l2_norm())
+
+        members = _block_members(seed, count, n, lam, include_coherent,
+                                 positive_only=positive_only)
+        return members, ratio
+
     name = "smoothing_pos" if positive_only else "smoothing"
     if log_normalized:
         name += "_log"
-    return make_report(name, points, 0.0, slope_tol, skipped=skipped)
+    return _family_report(name, n_values, lam, members_at, slope_tol)
 
 
 def smoothing_grid_operator_norm(n):
@@ -470,7 +455,6 @@ def smoothing_grid_operator_norm(n):
 @dataclass(frozen=True)
 class TrilinearClass:
     name: str
-    description: str
 
     def validate(self, ks):
         k1, k2, k3, k4 = ks
@@ -512,15 +496,10 @@ class TrilinearClass:
 
 
 TRILINEAR_CLASSES = {
-    c.name: c
-    for c in [
-        TrilinearClass("high_low_low_to_high", "one low pair feeding a high output"),
-        TrilinearClass("high_high_low_to_high", "two comparable highs and a low"),
-        TrilinearClass("high_high_high_to_high", "all four blocks comparable"),
-        TrilinearClass("high_high_low_to_low", "high pair cancelling to low output"),
-        TrilinearClass("high_high_high_to_low", "three highs cancelling to low"),
-        TrilinearClass("low_low_low_to_low", "everything at unit scale"),
-    ]
+    name: TrilinearClass(name)
+    for name in ("high_low_low_to_high", "high_high_low_to_high",
+                 "high_high_high_to_high", "high_high_low_to_low",
+                 "high_high_high_to_low", "low_low_low_to_low")
 }
 
 
@@ -871,17 +850,16 @@ def trilinear_ratio(cls_name, ks, lam=1.0, law=BENJAMIN_ONO,
         tuned = [0.0, 0.0, 0.0]
         tuned[cfg.dep] = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
         triples.append((flat, tuple(tuned)))
-    ratios = []
-    skipped = 0
-    for profiles, thetas in triples:
+
+    def ratio(profiles, thetas):
         lhs = cfg.lhs_norm(profiles, thetas=thetas)
         rhs = np.prod(cfg.rhs_factor_norms(profiles, thetas=thetas))
-        if lhs == 0.0 or rhs == 0.0:
-            skipped += 1
-            continue
-        ratios.append(lhs / (alpha * rhs))
-    mx, mean, kept = _ensemble_ratios(ratios)
-    return RatioPoint(float(ks[0]), lam, mx, mean), skipped
+        if rhs == 0.0:
+            return np.nan
+        return lhs / (alpha * rhs)
+
+    mx, mean, kept = _ensemble_ratios([ratio(*t) for t in triples])
+    return RatioPoint(float(ks[0]), lam, mx, mean), len(triples) - kept
 
 
 def trilinear_sweep(cls_name, sweeps, lam=1.0, law=BENJAMIN_ONO,

@@ -204,7 +204,7 @@ def read_reports_csv(path):
     verdict-relevant statistics (round-trip check support)."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != CSV_HEADER:
+    if not lines or lines[0] != CSV_HEADER:
         raise ConfigError("unexpected CSV header")
     groups = {}
     for ln in lines[1:]:
@@ -730,6 +730,15 @@ def parse_config(cfg):
     params = _parse_section(cfg, name, defaults) if cfg.has_section(name) else {}
     if params.get("s", 1.0) <= 0.25:
         raise ConfigError(f"{name}.s must exceed 1/4, got {params['s']}")
+    # every grid size and scale must describe a torus the criterion can build
+    tori = [("lambdas", lam, 4) for lam in params.get("lambdas", ())]
+    if "grid_size" in params:
+        tori.append(("grid_size", 1.0, params["grid_size"]))
+    for key, lam, m in tori:
+        try:
+            sp.TorusGeometry(lam, m)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {name}.{key}: {exc}") from exc
     return name, run["seed"], run["output_dir"], params
 
 

@@ -204,12 +204,12 @@ def xk_norm(field, k, b=0.5, law=None, tau_bins=TAU_BINS_PER_WINDOW_SCALE):
     return _modulation_sup(field, rows, k, b, law, False, tau_bins)
 
 
-def window_centers(support, k, step_fraction=0.25):
-    """Window-center grid: spacing 2^-k * step_fraction, covering the support
-    plus one full window width on each side."""
+def window_centers(support, k):
+    """Window-center grid: spacing 2^-k / 4, covering the support plus twice
+    the window scale 2^-k (one full window width) on each side."""
     scale = 2.0**-k
     margin = 2.0 * scale
-    step = scale * step_fraction
+    step = scale * 0.25
     lo, hi = support[0] - margin, support[1] + margin
     n = int(np.ceil((hi - lo) / step)) + 1
     return lo + step * np.arange(n)

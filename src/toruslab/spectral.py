@@ -249,10 +249,9 @@ def field_lebesgue_norm(f, p, oversample=4):
     return lebesgue_norm(f.samples(oversample=oversample), f.lam, p)
 
 
-def random_field(geometry, rng, band=None, real=False, unit_l2=True,
-                 block=None, decay=0.0):
-    """Gaussian random field, optionally confined to |m| <= band or to one
-    dyadic block, optionally conjugate-symmetrized, optionally L2-normalized."""
+def random_field(geometry, rng, band=None, real=False, block=None, decay=0.0):
+    """Unit-L2 Gaussian random field, optionally confined to |m| <= band or
+    to one dyadic block, optionally conjugate-symmetrized."""
     g = geometry
     mv = g.mvals
     if block is not None:
@@ -266,9 +265,7 @@ def random_field(geometry, rng, band=None, real=False, unit_l2=True,
         c = c / (1.0 + np.abs(g.xi)) ** decay
     c = np.where(mask, c, 0.0)
     out = SpectralField(g, c, real=real)
-    if unit_l2:
-        n = out.l2_norm()
-        if n == 0.0:
-            raise ValueError("degenerate random field (empty band)")
-        out = out * (1.0 / n)
-    return out
+    n = out.l2_norm()
+    if n == 0.0:
+        raise ValueError("degenerate random field (empty band)")
+    return out * (1.0 / n)

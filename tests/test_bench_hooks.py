@@ -5,6 +5,7 @@ would break a traced run.  These checks keep every wrapped name bindable."""
 import inspect
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,3 +40,26 @@ def test_counted_parameters_bind():
     assert spans._grid_counts(bound.arguments, None, None) == {"bytes": 5 * 32 * 16}
     for fn in (energy.e1_correction, energy.r4_form, energy.r6_form):
         assert "u" in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_member_counts_bind():
+    """Members per family call: count plus the coherent member at each sweep
+    value (n_values, or j_values for l4), and for one trilinear tuple the
+    coherent and tuned candidates; skips are read off the stub result."""
+    report = SimpleNamespace(skipped=2)
+    families = [(estimates.bilinear_ratio, "n_values", ([5, 6, 7], 1)),
+                (estimates.maximal_ratio, "n_values", ([3, 4, 5],)),
+                (estimates.smoothing_ratio, "n_values", ([3, 4, 5],)),
+                (estimates.l4_modulation_ratio, "j_values", ([0, 1, 2],))]
+    for fn, sweep, args in families:
+        for coherent, members in ((True, 18), (False, 15)):
+            bound = inspect.signature(fn).bind(*args, count=5,
+                                               include_coherent=coherent)
+            bound.apply_defaults()
+            counts = spans._family_counts(sweep)(bound.arguments, report, None)
+            assert counts == {"members": members, "skipped": 2}, fn.__name__
+    bound = inspect.signature(estimates.trilinear_ratio).bind(
+        "low_low_low_to_low", (1, 1, 1, 1), count=5, include_tuned=True)
+    bound.apply_defaults()
+    counts = spans._trilinear_ratio_counts(bound.arguments, (None, 1), None)
+    assert counts == {"members": 7, "skipped": 1}

@@ -72,6 +72,24 @@ def test_symbol_class_checks(sym):
     assert en.check_growth_window(sym, 500.0) <= 1e-9
 
 
+def test_symbol_kind_follows_table():
+    """A table makes a block symbol whichever way it is built, and a bad
+    table is rejected either way."""
+    table = [0.0, 0.7, 1.1, 1.9]
+    direct = en.DyadicSymbol(0.3, 0.1, table)
+    built = en.DyadicSymbol.from_blocks(table, 0.3, 0.1)
+    xi = np.linspace(-40.0, 40.0, 161)
+    for f in ("__call__", "deriv", "g_double_prime"):
+        assert np.array_equal(getattr(direct, f)(xi), getattr(built, f)(xi))
+    assert en.check_growth_window(direct, 500.0) == en.check_growth_window(
+        built, 500.0)
+    for bad in ([1.0], [[0.0, 1.0]], [0.0, -np.inf]):
+        with pytest.raises(ValueError):
+            en.DyadicSymbol(0.3, 0.1, bad)
+        with pytest.raises(ValueError):
+            en.DyadicSymbol.from_blocks(bad, 0.3, 0.1)
+
+
 def test_build_symbol_from_envelope():
     u0 = rand_field(m=256, band=100, seed=3)
     s, eps = 0.3, 0.1

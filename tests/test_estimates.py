@@ -3,7 +3,7 @@ import pytest
 
 from toruslab import bumps, estimates as es, spacetime as st
 from toruslab.evolution import BENJAMIN_ONO, SCHROEDINGER
-from toruslab.spectral import TorusGeometry
+from toruslab.spectral import SpectralField, TorusGeometry, block_indicator
 
 from oracles import eta_j
 
@@ -152,12 +152,9 @@ def test_report_verdict_pure():
 
 
 def test_ensemble_determinism_and_support():
-    ens = es.Ensemble(seed=7, count=4, block=3)
-    a = ens.sample(2)
-    b = ens.sample(2)
+    a = es.block_sample(7, 2, 3, 1.0)
+    b = es.block_sample(7, 2, 3, 1.0)
     assert np.array_equal(a.coeffs, b.coeffs)
-    from toruslab.spectral import block_indicator
-
     nz = np.abs(a.coeffs) > 0
     assert np.all(block_indicator(a.geometry.xi[nz], 3))
     assert abs(a.l2_norm() - 1.0) < 1e-12
@@ -215,7 +212,6 @@ def test_bilinear():
 
 
 def test_zero_factor_skipped():
-    pts = [es.RatioPoint(1.0, 1.0, np.nan, np.nan)]
     mx, mean, kept = es._ensemble_ratios([0.0, np.nan])
     assert kept == 0
 
@@ -230,7 +226,7 @@ def test_maximal():
     c = np.zeros(128, dtype=complex)
     c[9] = 1.0
     u0 = SpectralField(g, c)
-    l4 = es._maximal_norm(u0, SCHROEDINGER, es._time_grid(3, 1.0))
+    l4 = es._maximal_norm(u0, SCHROEDINGER, es._time_grid(3))
     assert abs(l4 / u0.l2_norm() - (2 * np.pi) ** 0.25 / (2 * np.pi) ** 0.5) < 1e-6
     # interval dependence: longer window cannot shrink the sup ratio
     short = es.maximal_ratio([4, 5, 6], count=3, seed=4).points
@@ -260,10 +256,7 @@ def test_l4_modulation():
 def test_conjugation_reflection_identity():
     """Conjugating the data reflects the time interval exactly: the ratio of
     conj(u0) over [0, d] equals the ratio of u0 over [-d, 0]."""
-    from toruslab.spectral import SpectralField
-
-    ens = es.Ensemble(seed=6, count=1, block=4)
-    u0 = ens.sample(0)
+    u0 = es.block_sample(6, 0, 4, 1.0)
     ubar = SpectralField(u0.geometry, np.conj(u0.coeffs))
     n = 4
     delta = 2.0**-n
@@ -483,13 +476,43 @@ class TestTrilinear:
         assert np.isfinite(rep.slope)
 
 
-def test_thread_override_bit_identical(monkeypatch):
+FAMILIES = {
+    "strichartz": lambda: es.strichartz_ratio(6, 6, [3, 4, 5], count=4,
+                                              seed=13),
+    "bilinear": lambda: es.bilinear_ratio([3, 4, 5], 1, count=4, seed=13,
+                                          separated=True),
+    "maximal": lambda: es.maximal_ratio([3, 4, 5], count=4, seed=13),
+    "smoothing": lambda: es.smoothing_ratio([3, 4, 5], count=4, seed=13,
+                                            positive_only=True),
+    "l4_modulation": lambda: es.l4_modulation_ratio([0, 1, 2], count=4,
+                                                    seed=13),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_thread_override_bit_identical(monkeypatch, family):
     monkeypatch.setenv("TORUSLAB_THREADS", "3")
-    r3 = es.maximal_ratio([3, 4, 5], count=4, seed=13)
+    r3 = FAMILIES[family]()
     monkeypatch.setenv("TORUSLAB_THREADS", "1")
-    r1 = es.maximal_ratio([3, 4, 5], count=4, seed=13)
+    r1 = FAMILIES[family]()
     for a, b in zip(r1.points, r3.points):
         assert a.max_ratio == b.max_ratio and a.mean_ratio == b.mean_ratio
+    assert r1.skipped == r3.skipped
+
+
+def test_empty_one_sided_member_skipped_once(monkeypatch):
+    """A coherent member with no positive modes is one skipped member per
+    sweep value, not two."""
+    def negative_only(n, lam=1.0, positive_only=False):
+        g = es._block_geometry(n, lam)
+        mask = block_indicator(g.xi, n) & (g.mvals < 0)
+        return SpectralField(g, np.where(mask, 1.0 + 0.0j, 0.0))
+
+    monkeypatch.setattr(es, "flat_block_data", negative_only)
+    rep = es.smoothing_ratio([3, 4, 5], count=2, positive_only=True)
+    assert rep.skipped == 3
+    rep = es.bilinear_ratio([3, 4, 5], 1, count=2, separated=True)
+    assert rep.skipped == 3
 
 
 def test_smoothing_low_block_finite():

@@ -49,10 +49,17 @@ def test_validate_and_errors(tmp_path):
      "'equation'"),
     ("[run]\nscenario = apriori\n[apriori]\ngrid_sise = 64\n", "'grid_sise'"),
     ("[run]\nscenario = envelope\n[envelop]\ncount = 10\n", "[envelop]"),
+    ("[run]\nscenario = conservation\n[conservation]\ngrid_size = 100\n",
+     "conservation.grid_size"),
+    ("[run]\nscenario = apriori\n[apriori]\ngrid_size = 2\n",
+     "apriori.grid_size"),
+    ("[run]\nscenario = spectral_exactness\n[spectral_exactness]\n"
+     "lambdas = 1 0.5\n", "spectral_exactness.lambdas"),
 ])
 def test_validate_rejects_unknown_fields(tmp_path, capsys, text, field):
-    # each of these configs was accepted by validate before the parser was
-    # derived from the criterion signatures
+    # validate once accepted each of these configs: unknown names before the
+    # parser was derived from the criterion signatures, and grid sizes or
+    # scales no torus has until they were checked against TorusGeometry
     assert cli.main(["validate", write_cfg(tmp_path, text)]) == rn.EXIT_CONFIG
     assert field in capsys.readouterr().err
 
@@ -104,6 +111,10 @@ def test_emit_empty_reports(tmp_path):
     rn.emit_report([], csv_path)
     lines = open(csv_path).read().strip().split("\n")
     assert lines == [rn.CSV_HEADER]
+    # a file without even the header is rejected as a bad header
+    open(csv_path, "w").close()
+    with pytest.raises(rn.ConfigError, match="header"):
+        rn.read_reports_csv(csv_path)
 
 
 def test_emit_deterministic_bytes(tmp_path):
