@@ -452,54 +452,41 @@ def smoothing_grid_operator_norm(n):
 # trilinear interaction classes
 
 
-@dataclass(frozen=True)
-class TrilinearClass:
-    name: str
-
-    def validate(self, ks):
-        k1, k2, k3, k4 = ks
-        ks_sorted = sorted(ks, reverse=True)
-        kstar = ks_sorted[0]
-        ok, why = True, ""
-        if self.name == "high_low_low_to_high":
-            ok = k1 <= k2 <= k3 - 3 and abs(k3 - k4) <= 1 and kstar >= 5
-            why = "needs k1 <= k2 <= k3 - 3, |k3 - k4| <= 1, max k >= 5"
-        elif self.name == "high_high_low_to_high":
-            ok = abs(k2 - k3) <= 1 and k1 <= k3 - 3 and abs(k3 - k4) <= 1 and kstar >= 5
-            why = "needs |k2 - k3| <= 1, k1 <= k3 - 3, |k3 - k4| <= 1, max k >= 5"
-        elif self.name == "high_high_high_to_high":
-            ok = max(ks) - min(ks) <= 1 and kstar >= 5
-            why = "needs all blocks within 1, max k >= 5"
-        elif self.name == "high_high_low_to_low":
-            ok = abs(k1 - k2) <= 1 and k3 <= k1 - 3 and k4 <= k1 - 3 and kstar >= 5
-            why = "needs |k1 - k2| <= 1, k3 <= k1 - 3, k4 <= k1 - 3, max k >= 5"
-        elif self.name == "high_high_high_to_low":
-            ok = abs(k1 - k3) <= 1 and abs(k2 - k3) <= 1 and k4 <= k1 - 3 and kstar >= 5
-            why = "needs |k1 - k3| <= 1, |k2 - k3| <= 1, k4 <= k1 - 3, max k >= 5"
-        elif self.name == "low_low_low_to_low":
-            ok = kstar <= 5
-            why = "needs max k <= 5"
-        else:
-            raise ValueError(f"unknown interaction class {self.name!r}")
-        if not ok:
-            raise ValueError(
-                f"blocks {ks} violate class {self.name}: {why}"
-            )
-
-    def alpha(self, ks):
-        k1, k2, k3, k4 = ks
-        if self.name == "high_low_low_to_high":
-            return 2.0 ** (k1 / 2.0)
-        if self.name == "high_high_high_to_high":
-            return 2.0 ** (k4 / 2.0)
-        return 1.0
-
-
-TRILINEAR_CLASSES = {
-    name: TrilinearClass(name)
-    for name in ("high_low_low_to_high", "high_high_low_to_high",
-                 "high_high_high_to_high", "high_high_low_to_low",
-                 "high_high_high_to_low", "low_low_low_to_low")
+# name -> (block condition on (k1, k2, k3, k4), its statement, alpha(k)):
+# the frequency-interaction classes of the trilinear estimate
+INTERACTION_CLASSES = {
+    "high_low_low_to_high": (
+        lambda k1, k2, k3, k4: (k1 <= k2 <= k3 - 3 and abs(k3 - k4) <= 1
+                                and max(k1, k2, k3, k4) >= 5),
+        "k1 <= k2 <= k3 - 3, |k3 - k4| <= 1, max k >= 5",
+        lambda k1, k2, k3, k4: 2.0 ** (k1 / 2.0)),
+    "high_high_low_to_high": (
+        lambda k1, k2, k3, k4: (abs(k2 - k3) <= 1 and k1 <= k3 - 3
+                                and abs(k3 - k4) <= 1
+                                and max(k1, k2, k3, k4) >= 5),
+        "|k2 - k3| <= 1, k1 <= k3 - 3, |k3 - k4| <= 1, max k >= 5",
+        lambda k1, k2, k3, k4: 1.0),
+    "high_high_high_to_high": (
+        lambda k1, k2, k3, k4: (max(k1, k2, k3, k4) - min(k1, k2, k3, k4) <= 1
+                                and max(k1, k2, k3, k4) >= 5),
+        "all blocks within 1, max k >= 5",
+        lambda k1, k2, k3, k4: 2.0 ** (k4 / 2.0)),
+    "high_high_low_to_low": (
+        lambda k1, k2, k3, k4: (abs(k1 - k2) <= 1 and k3 <= k1 - 3
+                                and k4 <= k1 - 3
+                                and max(k1, k2, k3, k4) >= 5),
+        "|k1 - k2| <= 1, k3 <= k1 - 3, k4 <= k1 - 3, max k >= 5",
+        lambda k1, k2, k3, k4: 1.0),
+    "high_high_high_to_low": (
+        lambda k1, k2, k3, k4: (abs(k1 - k3) <= 1 and abs(k2 - k3) <= 1
+                                and k4 <= k1 - 3
+                                and max(k1, k2, k3, k4) >= 5),
+        "|k1 - k3| <= 1, |k2 - k3| <= 1, k4 <= k1 - 3, max k >= 5",
+        lambda k1, k2, k3, k4: 1.0),
+    "low_low_low_to_low": (
+        lambda k1, k2, k3, k4: max(k1, k2, k3, k4) <= 5,
+        "max k <= 5",
+        lambda k1, k2, k3, k4: 1.0),
 }
 
 
@@ -529,7 +516,7 @@ class TauTable:
 
 
 class TrilinearConfig:
-    """Precomputed interaction tables for one block tuple.
+    """Precomputed interaction spikes for one block tuple.
 
     Factors are free solutions shaped by a common temporal bump at the output
     window scale; the middle factor is conjugated for the Schroedinger
@@ -539,8 +526,10 @@ class TrilinearConfig:
 
     def __init__(self, cls_name, ks, lam=1.0, law=BENJAMIN_ONO,
                  conjugate_middle=False):
-        self.cls = TRILINEAR_CLASSES[cls_name]
-        self.cls.validate(ks)
+        holds, needs, alpha = INTERACTION_CLASSES[cls_name]
+        if not holds(*ks):
+            raise ValueError(f"blocks {ks} violate class {cls_name}: needs {needs}")
+        self.alpha = alpha(*ks)
         self.ks = tuple(ks)
         self.lam = lam
         self.law = law
@@ -555,77 +544,64 @@ class TrilinearConfig:
         self.free_a, self.free_b = int(order[0]), int(order[1])
         self.dep = int(order[2])
         self.slot_sign = [1, -1 if conjugate_middle else 1, 1]
-        self._build_tables()
+        self._build_spikes()
         self.tau_table = self.build_tau_table()
         # unmodulated window constants, one evaluation per distinct block
         unit = {k: self.factor_window_constant(self.ks.index(k))
                 for k in set(self.ks[:3])}
         self.unit_window_constants = [unit[k] for k in self.ks[:3]]
 
-    def _build_tables(self):
-        """Interaction tables: per output index m4, the free-axis lattice
-        positions, the dependent slot's index, and the modulation offset.
+    def _build_spikes(self):
+        """Every interaction spike, concatenated output row by output row:
+        its row, modulation offset, output frequency and each slot's lattice
+        position, plus the spike-grid scale and the modulation range and
+        mode.
 
-        A slot of sign +1 contributes its own index m and phase +omega(m);
-        a conjugated slot contributes -m and -omega(m).
+        The two free lattices are enumerated; the dependent slot's index
+        follows from the output index m4.  A slot of sign +1 contributes its
+        own index m and phase +omega(m); a conjugated slot contributes -m and
+        -omega(m).
         """
-        lam, law = self.lam, self.law
-        la = self.lattices[self.free_a]
-        lb = self.lattices[self.free_b]
-        ldep_set = self.lattices[self.dep]
-        dep_min, dep_max = ldep_set.min(), ldep_set.max()
+        lam, law, k4 = self.lam, self.law, self.ks[3]
+        a, b, d = self.free_a, self.free_b, self.dep
+        sa, sb, sd = self.slot_sign[a], self.slot_sign[b], self.slot_sign[d]
+        ldep = self.lattices[d]
+        dep_min, dep_max = ldep.min(), ldep.max()
         dep_ok = np.zeros(dep_max - dep_min + 1, dtype=bool)
-        dep_ok[ldep_set - dep_min] = True
-        sa = self.slot_sign[self.free_a]
-        sb = self.slot_sign[self.free_b]
-        sd = self.slot_sign[self.dep]
-        ma, mb = np.meshgrid(la, lb, indexing="ij")
+        dep_ok[ldep - dep_min] = True
+        ma, mb = np.meshgrid(self.lattices[a], self.lattices[b], indexing="ij")
         ma = ma.ravel()
         mb = mb.ravel()
-        self.tables = []
+        live, picks = [], []
         for m4 in self.out_lattice:
             md = sd * (m4 - sa * ma - sb * mb)
             ok = (md >= dep_min) & (md <= dep_max)
             ok[ok] &= dep_ok[md[ok] - dep_min]
-            if not np.any(ok):
-                self.tables.append(None)
-                continue
-            mak, mbk, mdk = ma[ok], mb[ok], md[ok]
-            om = (
-                sa * law.omega(mak / lam)
-                + sb * law.omega(mbk / lam)
-                + sd * law.omega(mdk / lam)
-                - law.omega(m4 / lam)
-            )
-            self.tables.append(((mak, mbk, mdk), om))
-        live = [(m4, tab) for m4, tab in zip(self.out_lattice, self.tables)
-                if tab is not None]
+            if np.any(ok):
+                live.append(m4)
+                picks.append(np.flatnonzero(ok))
         if not live:
             raise ValueError("empty interaction set for this block tuple")
-        # every spike of every live output row, concatenated row by row: its
-        # modulation, output frequency and each slot's lattice position
-        sizes = [tab[1].size for _, tab in live]
+        sizes = [p.size for p in picks]
         self.row_starts = np.cumsum([0] + sizes[:-1])
         self.spike_row = np.repeat(np.arange(len(live)), sizes)
-        self.spike_om = np.concatenate([tab[1] for _, tab in live])
-        self.spike_xi4 = np.repeat([m4 / lam for m4, _ in live], sizes)
-        self.spike_pos = [None] * 3
-        for col, slot in enumerate((self.free_a, self.free_b, self.dep)):
-            m = np.concatenate([tab[0][col] for _, tab in live])
-            self.spike_pos[slot] = np.searchsorted(self.lattices[slot], m)
-        self._tau_setup()
-
-    def _tau_setup(self):
-        k4 = self.ks[3]
+        pick = np.concatenate(picks)
+        m4 = np.repeat(live, sizes)
+        m = {a: ma[pick], b: mb[pick]}
+        m[d] = sd * (m4 - sa * m[a] - sb * m[b])
+        self.spike_om = (sa * law.omega(m[a] / lam) + sb * law.omega(m[b] / lam)
+                         + sd * law.omega(m[d] / lam) - law.omega(m4 / lam))
+        self.spike_xi4 = m4 / lam
+        self.spike_pos = [np.searchsorted(self.lattices[s], m[s])
+                          for s in range(3)]
         self.dtau = 2.0**k4 / TRILINEAR_TAU_BINS
-        allom = self.spike_om
-        omin, omax = float(np.min(allom)), float(np.max(allom))
+        omin, omax = float(np.min(self.spike_om)), float(np.max(self.spike_om))
         self.omega_range = (omin, omax)
         # histogram resolution tied to the output window scale, so the tuned
         # candidate recenters the populated cluster to within one window width
         span = max(omax - omin, 2.0**k4)
         nbins = int(min(max(np.ceil(span / 2.0**k4), 16), 65536))
-        hist, edges = np.histogram(allom, bins=nbins)
+        hist, edges = np.histogram(self.spike_om, bins=nbins)
         imax = int(np.argmax(hist))
         self.omega_mode = float(0.5 * (edges[imax] + edges[imax + 1]))
         self.reach = 120.0 * 2.0**k4
@@ -653,7 +629,7 @@ class TrilinearConfig:
         bins = np.rint((self.spike_om + shift - tau0) / self.dtau).astype(int)
         lo = np.minimum.reduceat(bins, self.row_starts)
         hi = np.maximum.reduceat(bins, self.row_starts)
-        kernels = [kern for kern, _ in map(self.window_profile, centers)
+        kernels = [kern for kern in map(self.window_profile, centers)
                    if kern is not None]
         nk = max(((kern.size - 1) // 2 for kern in kernels), default=0)
         n = bumps.fast_len(int(np.max(hi - lo + 1)) + 2 * nk + 1)
@@ -681,15 +657,15 @@ class TrilinearConfig:
 
     def window_profile(self, center):
         """Transform of envelope^3 * eta0(2^k4 (t - center)) on multiples of
-        dtau across the whole band of its padded FFT, with its half-width
-        in bins."""
+        dtau across the whole band of its padded FFT (2 nk + 1 bins centered
+        on zero), or None when the window misses the envelope."""
         k4 = self.ks[3]
         half = bumps.OUTER * 2.0**-k4
         dt = 2.0**-k4 / 64.0
         t = np.arange(center - half, center + half + dt / 2, dt)
         s = self.envelope(t) ** 3 * bumps.eta0(2.0**k4 * (t - center))
         if not np.any(s):
-            return None, 0
+            return None
         npad = bumps.next_pow2(int(2.0 * np.pi / (self.dtau * dt)) + t.size)
         ft = np.fft.fft(s, npad) * dt
         taus = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
@@ -701,28 +677,24 @@ class TrilinearConfig:
         kgrid = self.dtau * np.arange(-nk, nk + 1)
         kr = np.interp(kgrid, taus, ft.real)
         ki = np.interp(kgrid, taus, ft.imag)
-        return kr + 1j * ki, nk
+        return kr + 1j * ki
+
+    def _unit_l2(self, c):
+        return c / np.sqrt(np.sum(np.abs(c) ** 2) / (2.0 * np.pi * self.lam))
 
     def profiles(self, rng):
         """Unit-L2 Gaussian coefficient tables, one per factor lattice."""
-        out = []
-        for latt in self.lattices:
-            c = rng.standard_normal(latt.size) + 1j * rng.standard_normal(latt.size)
-            c /= np.sqrt(np.sum(np.abs(c) ** 2) / (2.0 * np.pi * self.lam))
-            out.append(c)
-        return out
+        return [self._unit_l2(rng.standard_normal(latt.size)
+                              + 1j * rng.standard_normal(latt.size))
+                for latt in self.lattices]
 
     def coherent_profiles(self):
         """Flat-modulus factor triple: the coherent candidate saturating the
         interaction constants that Gaussian samples underestimate."""
-        out = []
-        for latt in self.lattices:
-            c = np.ones(latt.size, dtype=complex)
-            c /= np.sqrt(np.sum(np.abs(c) ** 2) / (2.0 * np.pi * self.lam))
-            out.append(c)
-        return out
+        return [self._unit_l2(np.ones(latt.size, dtype=complex))
+                for latt in self.lattices]
 
-    def lhs_norm(self, profiles, centers=None, b=0.5, thetas=(0.0, 0.0, 0.0)):
+    def lhs_norm(self, profiles, centers=None, thetas=(0.0, 0.0, 0.0)):
         """Windowed resolvent norm of P_k4 d_x of the factor product.
 
         ``thetas`` are per-slot modulation shifts: slot s carries an extra
@@ -752,7 +724,7 @@ class TrilinearConfig:
         if not np.any(spikes):
             return 0.0
         spec = np.fft.fft(spikes, axis=1)
-        jscale = 2.0 ** (np.arange(table.weights.shape[0]) * b)
+        jscale = 2.0 ** (np.arange(table.weights.shape[0]) * 0.5)
         nut, rowpower, imag2 = spikes, np.empty(spec.shape), np.empty(spec.shape)
         best = 0.0
         for kspec in table.kernel_spectra:  # buffers reused across centers
@@ -839,14 +811,12 @@ def trilinear_ratio(cls_name, ks, lam=1.0, law=BENJAMIN_ONO,
     """
     cfg = TrilinearConfig(cls_name, ks, lam=lam, law=law,
                           conjugate_middle=conjugate_middle)
-    alpha = cfg.cls.alpha(ks)
     zero = (0.0, 0.0, 0.0)
     triples = [(cfg.profiles(sample_rng(seed, i)), zero) for i in range(count)]
+    flat = cfg.coherent_profiles()
     if include_coherent:
-        flat = cfg.coherent_profiles()
         triples.append((flat, zero))
     if include_tuned:
-        flat = cfg.coherent_profiles()
         tuned = [0.0, 0.0, 0.0]
         tuned[cfg.dep] = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
         triples.append((flat, tuple(tuned)))
@@ -856,7 +826,7 @@ def trilinear_ratio(cls_name, ks, lam=1.0, law=BENJAMIN_ONO,
         rhs = np.prod(cfg.rhs_factor_norms(profiles, thetas=thetas))
         if rhs == 0.0:
             return np.nan
-        return lhs / (alpha * rhs)
+        return lhs / (cfg.alpha * rhs)
 
     mx, mean, kept = _ensemble_ratios([ratio(*t) for t in triples])
     return RatioPoint(float(ks[0]), lam, mx, mean), len(triples) - kept
@@ -864,15 +834,14 @@ def trilinear_ratio(cls_name, ks, lam=1.0, law=BENJAMIN_ONO,
 
 def trilinear_sweep(cls_name, sweeps, lam=1.0, law=BENJAMIN_ONO,
                     conjugate_middle=False, seed=0, count=12, slope_tol=0.2,
-                    sweep_coord=None, include_tuned=False):
-    """Report over a list of block tuples; the sweep coordinate defaults to
-    the varying entry of the tuples."""
+                    include_tuned=False):
+    """Report over a list of block tuples, swept along the first entry that
+    varies across the tuples."""
     points = []
     skipped = 0
     arr = np.asarray(sweeps)
-    if sweep_coord is None:
-        varying = [j for j in range(4) if len(set(arr[:, j])) > 1]
-        sweep_coord = varying[0] if varying else 0
+    varying = [j for j in range(4) if len(set(arr[:, j])) > 1]
+    sweep_coord = varying[0] if varying else 0
     for ks in sweeps:
         pt, sk = trilinear_ratio(cls_name, tuple(ks), lam=lam, law=law,
                                  conjugate_middle=conjugate_middle, seed=seed,

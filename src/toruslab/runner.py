@@ -702,14 +702,20 @@ def _parse_section(cfg, section, defaults):
             )
         out[key] = _parse_value(f"{section}.{key}", defaults[key],
                                 cfg.get(section, key))
+        # a seed may be zero; every count and size needs at least one
+        least = 0 if key == "seed" else 1
+        if type(defaults[key]) is int and out[key] < least:
+            raise ConfigError(
+                f"{section}.{key} must be at least {least}, got {out[key]}")
     return out
 
 
 def parse_config(cfg):
     """Return (scenario, seed, output_dir, keyword parameters).  The keys of
     the scenario's section are the keyword parameters of its criterion
-    function, typed by their defaults; anything else raises ConfigError
-    naming the offending field."""
+    function, typed by their defaults.  A seed must be at least 0 and every
+    other integer at least 1; anything else raises ConfigError naming the
+    offending field."""
     if not cfg.has_section("run"):
         raise ConfigError("missing section [run]")
     if not cfg.has_option("run", "scenario"):

@@ -155,8 +155,6 @@ def _lag_kernels(npad, lags, dt, k, nj, resolvent):
 def _modulation_sup(field, rows, k, b, law, resolvent, tau_bins):
     """Largest block norm over the windowed segments w * nu[lo:lo + w.size],
     (lo, w) in rows, of the demodulated active columns nu of the field."""
-    if law is None:
-        raise ValueError("a dispersion law is required")
     cols = field.active_columns()
     if not np.any(cols):
         return 0.0
@@ -198,7 +196,7 @@ def _modulation_sup(field, rows, k, b, law, resolvent, tau_bins):
     return best
 
 
-def xk_norm(field, k, b=0.5, law=None, tau_bins=TAU_BINS_PER_WINDOW_SCALE):
+def xk_norm(field, k, law, b=0.5, tau_bins=TAU_BINS_PER_WINDOW_SCALE):
     """Modulation-sum norm of the whole field (no time window applied)."""
     rows = [(0, np.ones(field.tgrid.size))]
     return _modulation_sup(field, rows, k, b, law, False, tau_bins)
@@ -231,14 +229,14 @@ def _window_rows(field, k, centers):
     return rows
 
 
-def fk_norm(field, k, law=None, b=0.5, centers=None,
+def fk_norm(field, k, law, b=0.5, centers=None,
             tau_bins=TAU_BINS_PER_WINDOW_SCALE):
     """Shorttime norm: sup over window centers of the windowed block norm."""
     rows = _window_rows(field, k, centers)
     return _modulation_sup(field, rows, k, b, law, False, tau_bins)
 
 
-def nk_norm(field, k, law=None, b=0.5, centers=None,
+def nk_norm(field, k, law, b=0.5, centers=None,
             tau_bins=TAU_BINS_PER_WINDOW_SCALE):
     """Nonlinearity norm: windowed block norm with the resolvent weight."""
     rows = _window_rows(field, k, centers)

@@ -3,6 +3,7 @@ import pytest
 
 from toruslab import bumps, estimates as es, spacetime as st
 from toruslab.evolution import BENJAMIN_ONO, SCHROEDINGER
+from toruslab.runner import TRILINEAR_SWEEPS
 from toruslab.spectral import SpectralField, TorusGeometry, block_indicator
 
 from oracles import eta_j
@@ -50,20 +51,35 @@ def oracle_window_constant(cfg, s, theta=0.0):
     return best
 
 
-def slot_amp(cfg, slot, profiles, m):
-    """Amplitude carried by one slot at its own lattice index m:
-    the profile value, conjugated for a conjugated slot."""
-    latt = cfg.lattices[slot]
-    idx = np.searchsorted(latt, m)
-    val = profiles[slot][idx]
-    return np.conj(val) if cfg.slot_sign[slot] == -1 else val
+def brute_spikes(cfg):
+    """Every slot triple (m1, m2, m3) of the factor lattices whose slot-signed
+    sum m4 lies in the output lattice, by brute force over all triples:
+    the (spikes, 4) index table and each spike's modulation
+    sum_s sign_s omega(m_s) - omega(m4)."""
+    l1, l2, l3 = cfg.lattices
+    s1, s2, s3 = cfg.slot_sign
+    reach = sum(int(np.max(np.abs(l))) for l in cfg.lattices)
+    inside = np.zeros(2 * reach + 1, dtype=bool)
+    inside[cfg.out_lattice[np.abs(cfg.out_lattice) <= reach] + reach] = True
+    m2, m3 = (m.ravel() for m in np.meshgrid(l2, l3, indexing="ij"))
+    found = []
+    for m1 in l1:
+        m4 = s1 * m1 + s2 * m2 + s3 * m3
+        keep = inside[m4 + reach]
+        found.append(np.stack([np.full(np.count_nonzero(keep), m1), m2[keep],
+                               m3[keep], m4[keep]], axis=1))
+    ms = np.concatenate(found)
+    xi = ms / cfg.lam
+    om = sum(s * cfg.law.omega(xi[:, i]) for i, s in enumerate(cfg.slot_sign))
+    return ms, om - cfg.law.omega(xi[:, 3])
 
 
-def oracle_lhs_norm(cfg, profiles, centers=None, b=0.5, thetas=(0.0, 0.0, 0.0)):
-    """Reference trilinear norm: every row's spikes binned on the full tau
-    grid and convolved with each center's window profile by one
-    power-of-two FFT of the whole (rows, grid) matrix (the evaluator the
-    row-support transforms of TrilinearConfig.lhs_norm replaced)."""
+def oracle_lhs_norm(cfg, profiles, centers=None, thetas=(0.0, 0.0, 0.0)):
+    """Reference trilinear norm: the brute-force spikes of every output mode
+    binned on the full tau grid and convolved with each center's window
+    profile by one power-of-two FFT of the whole (rows, grid) matrix (the
+    evaluator the row-support transforms of TrilinearConfig.lhs_norm
+    replaced)."""
     lam = cfg.lam
     k4 = cfg.ks[3]
     pref = 1.0 / (2.0 * np.pi * lam) ** 2
@@ -77,34 +93,20 @@ def oracle_lhs_norm(cfg, profiles, centers=None, b=0.5, thetas=(0.0, 0.0, 0.0)):
     tau_hi = cfg.omega_range[1] + shift + cfg.reach
     ngrid = int(np.ceil((tau_hi - tau0) / cfg.dtau)) + 1
     taugrid = tau0 + cfg.dtau * np.arange(ngrid)
-    rows = []
-    for m4_idx, tab in enumerate(cfg.tables):
-        if tab is None:
-            continue
-        (ma, mb, md), om = tab
-        amp = (
-            slot_amp(cfg, cfg.free_a, profiles, ma)
-            * slot_amp(cfg, cfg.free_b, profiles, mb)
-            * slot_amp(cfg, cfg.dep, profiles, md)
-        )
-        xi4 = cfg.out_lattice[m4_idx] / lam
-        spikes = np.zeros(ngrid, dtype=complex)
-        bins = np.rint((om + shift - tau0) / cfg.dtau).astype(int)
-        np.add.at(spikes, bins, amp * (1j * xi4) * pref)
-        if np.any(spikes):
-            rows.append(spikes)
-    if not rows:
-        return 0.0
-    spike_mat = np.stack(rows)
-    kernels = []
-    max_nk = 0
-    for c in centers:
-        kern, nk = cfg.window_profile(c)
-        if kern is not None:
-            kernels.append(kern)
-            max_nk = max(max_nk, nk)
+    ms, om = brute_spikes(cfg)
+    amp = np.ones(len(ms), dtype=complex)
+    for s in range(3):
+        val = profiles[s][np.searchsorted(cfg.lattices[s], ms[:, s])]
+        amp *= np.conj(val) if cfg.slot_sign[s] == -1 else val
+    out_modes, row = np.unique(ms[:, 3], return_inverse=True)
+    spike_mat = np.zeros((out_modes.size, ngrid), dtype=complex)
+    bins = np.rint((om + shift - tau0) / cfg.dtau).astype(int)
+    np.add.at(spike_mat, (row, bins), amp * (1j * ms[:, 3] / lam) * pref)
+    kernels = [kern for kern in map(cfg.window_profile, centers)
+               if kern is not None]
     if not kernels:
         return 0.0
+    max_nk = max((kern.size - 1) // 2 for kern in kernels)
     nfft = bumps.next_pow2(ngrid + 2 * max_nk + 1)
     spike_fft = np.fft.fft(spike_mat, nfft, axis=1)
     resolvent = 1.0 / (taugrid**2 + 4.0**k4)
@@ -123,7 +125,7 @@ def oracle_lhs_norm(cfg, profiles, centers=None, b=0.5, thetas=(0.0, 0.0, 0.0)):
         power *= resolvent
         blocks = weights @ power
         total = float(
-            np.sum(2.0 ** (np.arange(jmax + 1) * b) * np.sqrt(np.maximum(blocks, 0.0)))
+            np.sum(2.0 ** (np.arange(jmax + 1) * 0.5) * np.sqrt(np.maximum(blocks, 0.0)))
         )
         best = max(best, total)
     return best
@@ -295,9 +297,40 @@ class TestTrilinear:
             es.TrilinearConfig("nonsense", (1, 1, 1, 1))
 
     def test_alpha_factors(self):
-        assert es.TRILINEAR_CLASSES["high_low_low_to_high"].alpha((2, 3, 6, 6)) == 2.0
-        assert es.TRILINEAR_CLASSES["high_high_high_to_high"].alpha((6, 6, 6, 6)) == 8.0
-        assert es.TRILINEAR_CLASSES["low_low_low_to_low"].alpha((1, 1, 1, 1)) == 1.0
+        def alpha(name, ks):
+            return es.INTERACTION_CLASSES[name][2](*ks)
+
+        assert alpha("high_low_low_to_high", (2, 3, 6, 6)) == 2.0
+        assert alpha("high_high_high_to_high", (6, 6, 6, 6)) == 8.0
+        assert alpha("low_low_low_to_low", (1, 1, 1, 1)) == 1.0
+
+    def test_sweep_recipes_satisfy_their_class(self):
+        """Every tuple of every criterion-9 sweep passes its class's block
+        condition, so a recipe typo fails here and not minutes into the
+        criterion."""
+        for cls_name, recipe in TRILINEAR_SWEEPS.items():
+            holds = es.INTERACTION_CLASSES[cls_name][0]
+            for ks in recipe["sweep"]:
+                assert holds(*ks), (cls_name, ks)
+
+    @pytest.mark.parametrize("cls_name", sorted(TRILINEAR_SWEEPS))
+    def test_spikes_match_brute_force(self, cls_name):
+        """The spike arrays hold exactly the brute-force interactions of the
+        first sweep tuple of each class, with their modulations, under both
+        laws."""
+        ks = TRILINEAR_SWEEPS[cls_name]["sweep"][0]
+        for law, conj in ((BENJAMIN_ONO, False), (SCHROEDINGER, True)):
+            cfg = es.TrilinearConfig(cls_name, ks, law=law,
+                                     conjugate_middle=conj)
+            got = np.stack(
+                [l[p] for l, p in zip(cfg.lattices, cfg.spike_pos)]
+                + [np.rint(cfg.spike_xi4 * cfg.lam).astype(int)], axis=1)
+            want, om = brute_spikes(cfg)
+            gorder = np.lexsort(got.T[::-1])
+            worder = np.lexsort(want.T[::-1])
+            assert np.array_equal(got[gorder], want[worder])
+            scale = float(np.max(np.abs(om)))
+            assert np.max(np.abs(cfg.spike_om[gorder] - om[worder])) <= 1e-12 * scale
 
     def test_zero_factor_gives_zero(self):
         cfg = es.TrilinearConfig("low_low_low_to_low", (1, 1, 1, 1))
@@ -321,9 +354,7 @@ class TestTrilinear:
             # direct: build factors on a fine grid, multiply, nk-norm
             lam = cfg.lam
             k4 = cfg.ks[3]
-            om_max = max(
-                float(np.max(np.abs(t[1]))) for t in cfg.tables if t is not None
-            )
+            om_max = float(np.max(np.abs(cfg.spike_om)))
             dt = min(2.0**-k4 / 32.0, np.pi / (8.0 * max(om_max, 1.0)))
             half = bumps.OUTER * cfg.env_scale
             t = np.arange(-half - 2 * dt, half + 2 * dt, dt)

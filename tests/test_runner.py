@@ -55,11 +55,19 @@ def test_validate_and_errors(tmp_path):
      "apriori.grid_size"),
     ("[run]\nscenario = spectral_exactness\n[spectral_exactness]\n"
      "lambdas = 1 0.5\n", "spectral_exactness.lambdas"),
+    ("[run]\nscenario = apriori\n[apriori]\ncount = 0\n", "apriori.count"),
+    ("[run]\nscenario = multiplier_bounds\n[multiplier_bounds]\n"
+     "tuples_per_pattern = 0\n", "multiplier_bounds.tuples_per_pattern"),
+    ("[run]\nscenario = envelope\nseed = -1\n", "run.seed"),
+    ("[run]\nscenario = envelope\n[envelope]\ncount = 0\n", "envelope.count"),
+    ("[run]\nscenario = boundary_bound\n[boundary_bound]\ncount = 0\n",
+     "boundary_bound.count"),
 ])
 def test_validate_rejects_unknown_fields(tmp_path, capsys, text, field):
     # validate once accepted each of these configs: unknown names before the
-    # parser was derived from the criterion signatures, and grid sizes or
-    # scales no torus has until they were checked against TorusGeometry
+    # parser was derived from the criterion signatures, grid sizes or scales
+    # no torus has until they were checked against TorusGeometry, and
+    # negative seeds or empty counts until integers were bounded below
     assert cli.main(["validate", write_cfg(tmp_path, text)]) == rn.EXIT_CONFIG
     assert field in capsys.readouterr().err
 
