@@ -11,13 +11,21 @@ share one loop, _family_report, which skips a member exactly when its ratio
 is not finite and positive (an empty one-sided projection or a zero
 denominator gives nan) and counts each skip once, as trilinear_ratio does.
 
-Free solutions are evaluated on exactly sufficient space-time grids: the
-spatial grid resolves the highest product bandwidth (quadratures of |u|^p are
-then exact up to rounding), the time grid oversamples the intra-block phase
-spread.  The trilinear nonlinearity norm uses the fact that a product of
-windowed free solutions is a finite sum of modulated copies of one smooth
-profile: its modulation spectrum is the interaction spikes convolved with
-the window profile transform of each window center.  Each output mode's
+The time grid of a family oversamples the intra-block phase spread, and its
+spatial grid of nx points (_block_nx) has 4x headroom over the data band.
+The Strichartz and maximal families evaluate free solutions on that
+space-time grid (quadratures of |u|^p are then exact up to rounding).  The
+local smoothing and bilinear families never form it: the bands of |u|^2 and
+uv lie below nx/2, so their spatial values and sums are exact finite sums
+over the coefficient lattice (discrete Parseval).  Smoothing contracts each
+member's coefficient pairs with a per-block Gram table of the time
+quadrature and synthesizes one nx-point row; bilinear sums the squared
+product coefficients at each time.
+
+The trilinear nonlinearity norm uses the fact that a product of windowed
+free solutions is a finite sum of modulated copies of one smooth profile:
+its modulation spectrum is the interaction spikes convolved with the window
+profile transform of each window center.  Each output mode's
 spikes occupy a short stretch of the tau grid, so they are transformed over
 that stretch only, at a 5-smooth length shared by all rows; the binning,
 the kernel spectra and the annulus weights do not depend on the profiles
@@ -128,6 +136,14 @@ def _block_geometry(n, lam):
     return TorusGeometry(lam, max(m, 16))
 
 
+def _block_lattice(k, lam):
+    """Sorted lattice modes m with m / lam in block k."""
+    mmax = int(np.ceil(2.0 ** (k + 1) * lam)) - 1
+    m = np.arange(-mmax, mmax + 1)
+    keep = block_indicator(m / lam, k)
+    return m[keep]
+
+
 def block_sample(seed, i, n, lam):
     """Member i of the deterministic unit-L2 Gaussian family on block n."""
     return random_field(_block_geometry(n, lam), sample_rng(seed, i), block=n)
@@ -180,18 +196,32 @@ def free_solution_grid(u0, law, times, nx):
     return synthesize(rows, mv % nx, nx, g.period)
 
 
+def _product_rows(amodes, arows, bmodes, brows):
+    """Lattice coefficients of the product of two fields given by their rows
+    on sorted modes, one row per time, on the modes amodes[0] + bmodes[0]
+    through amodes[-1] + bmodes[-1]: a sum of shifted copies of the rows of
+    the factor with more modes, one per mode of the other.  Each run of
+    consecutive modes of that factor is shifted as one slice."""
+    if amodes.size < bmodes.size:
+        amodes, arows, bmodes, brows = bmodes, brows, amodes, arows
+    out = np.zeros((arows.shape[0], amodes[-1] - amodes[0] + bmodes[-1]
+                    - bmodes[0] + 1), dtype=complex)
+    cuts = np.flatnonzero(np.diff(amodes) > 1) + 1
+    term = np.empty_like(arows)
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, amodes.size]):
+        first = amodes[lo] - amodes[0] - bmodes[0]
+        for m, col in zip(bmodes, brows.T):
+            np.multiply(arows[:, lo:hi], col[:, None], out=term[:, lo:hi])
+            out[:, first + m:first + m + hi - lo] += term[:, lo:hi]
+    return out
+
+
 def _lp_x(vals, lam, p):
     nx = vals.shape[-1]
     dx = 2.0 * np.pi * lam / nx
     if p == np.inf:
         return np.max(np.abs(vals), axis=-1)
     return (dx * np.sum(np.abs(vals) ** p, axis=-1)) ** (1.0 / p)
-
-
-def _lq_t(series, times, q):
-    if q == np.inf:
-        return float(np.max(series))
-    return float(np.trapezoid(np.asarray(series) ** q, times) ** (1.0 / q))
 
 
 def _time_grid(n, interval_factor=1.0):
@@ -316,7 +346,10 @@ def strichartz_ratio(q, p, n_values, lam=1.0, seed=0, count=32,
 
         def ratio(u0):
             vals = free_solution_grid(u0, law, times, _block_nx(u0))
-            return _lq_t(_lp_x(vals, lam, p), times, q) / u0.l2_norm()
+            lp = _lp_x(vals, lam, p)
+            if q == np.inf:
+                return float(np.max(lp)) / u0.l2_norm()
+            return float(np.trapezoid(lp**q, times) ** (1.0 / q)) / u0.l2_norm()
 
         return _block_members(seed, count, n, lam, include_coherent), ratio
 
@@ -332,6 +365,14 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
 
     Requires n - k >= 4, or ``separated`` data (both factors at scale 2^n
     with opposite-sign supports, separation >= 2^n).
+
+    No space-time grid is formed: at each time the squared L2_x norm of the
+    product is the lattice sum of its squared coefficients over period^3
+    (discrete Parseval; the band of uv lies below nx/2 for the
+    nx = _block_nx(u0, v0) grid, so its quadrature gives the same value).
+    The product coefficients are shifted rows of the factor with more modes,
+    one shift per mode of the other; ``conjugated`` negates the second
+    factor's modes and conjugates its rows.
     """
     if not separated and any(n - k < 4 for n in n_values):
         raise ValueError("blocks must satisfy n - k >= 4 (or use separation)")
@@ -343,20 +384,30 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
             _block_members(seed, count, n, lam, include_coherent),
             _block_members(seed + 104729, count, kv, lam, include_coherent),
         ))
+        umodes, vslots = _block_lattice(n, lam), _block_lattice(kv, lam)
+        if separated:  # one-sided supports with distance >= 2 * 2^n
+            umodes, vslots = umodes[umodes > 0], vslots[vslots < 0]
+        uphase = free_rows(1.0, umodes / lam, times, law)
+        vphase = free_rows(1.0, vslots / lam, times, law)
+        vmodes = vslots
+        if conjugated:  # conj(v) carries conj(c_m exp(i t omega_m)) at -m
+            vslots = vslots[::-1]
+            vmodes = -vslots
+            vphase = np.conj(vphase[:, ::-1])
 
         def ratio(pair):
             u0, v0 = pair
             if separated:
-                # one-sided supports with distance >= 2 * 2^n
                 u0, v0 = _one_sided(u0, 1), _one_sided(v0, -1)
                 if u0 is None or v0 is None:
                     return np.nan
-            nx = _block_nx(u0, v0)
-            uu = free_solution_grid(u0, law, times, nx)
-            vv = free_solution_grid(v0, law, times, nx)
-            if conjugated:
-                vv = np.conj(vv)
-            lhs = _lq_t(_lp_x(uu * vv, lam, 2), times, 2)
+            cv = v0.coeffs[vslots % v0.geometry.grid_size]
+            prod = _product_rows(
+                umodes, u0.coeffs[umodes % u0.geometry.grid_size] * uphase,
+                vmodes, (np.conj(cv) if conjugated else cv) * vphase)
+            parts = prod.view(float)
+            l2sq = np.einsum("tp,tp->t", parts, parts)  # sum_p |(uv)^_p|^2
+            lhs = np.sqrt(np.trapezoid(l2sq, times) / u0.geometry.period**3)
             denom = 2.0 ** (-n / 2.0) * u0.l2_norm() * v0.l2_norm()
             if denom == 0.0:
                 return np.nan
@@ -375,12 +426,6 @@ def _maximal_norm(u0, law, times):
     """||u||_{L4_x Linf_t} of the free solution over the time grid."""
     vals = free_solution_grid(u0, law, times, _block_nx(u0))
     return float(_lp_x(np.max(np.abs(vals), axis=0), u0.lam, 4))
-
-
-def _smoothing_norm(u0, law, times):
-    """||u||_{Linf_x L2_t} of the free solution over the time grid."""
-    vals = free_solution_grid(u0, law, times, _block_nx(u0))
-    return float(np.max(np.sqrt(np.trapezoid(np.abs(vals) ** 2, times, axis=0))))
 
 
 def maximal_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
@@ -410,6 +455,14 @@ def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
     log_normalized=True the proof-side weight log2(N) N^(-1/2) is used; no
     tested data saturates that logarithm, so those ratios decay slowly and
     only the no-growth direction is meaningful.
+
+    No space-time grid is formed: with trapezoid weights w_t and the phase
+    table P[t, m] = exp(i t omega_m), H = P^T diag(w) conj(P) is built once
+    per block, and each member's T(x) = sum_t w_t |u(t, x)|^2, which is
+    sum_{m, m'} c_m conj(c_m') H[m, m'] exp(i (m - m') x / lam) / period^2,
+    is one bincount over m - m' mod nx and one inverse transform on the
+    nx = _block_nx(u0) grid points; exact, as the band of |u|^2 lies below
+    nx/2.
     """
 
     def members_at(n):
@@ -417,13 +470,29 @@ def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
         norm = 2.0 ** (-n / 2.0)
         if log_normalized:
             norm *= max(float(n), 1.0)
+        modes = _block_lattice(n, lam)
+        if positive_only:
+            modes = modes[modes > 0]
+        phases = free_rows(1.0, modes / lam, times, law)
+        half = 0.5 * np.diff(times)  # trapezoid weights w_t
+        weights = np.r_[half, 0.0] + np.r_[0.0, half]
+        gram = (phases.T * weights) @ np.conj(phases)
+        diff = (modes[:, None] - modes[None, :]).ravel()
 
         def ratio(u0):
             if positive_only:
                 u0 = _one_sided(u0, 1)
                 if u0 is None:
                     return np.nan
-            return _smoothing_norm(u0, law, times) / (norm * u0.l2_norm())
+            g = u0.geometry
+            c = u0.coeffs[modes % g.grid_size]
+            pair = (c[:, None] * gram * np.conj(c)).ravel()
+            nx = _block_nx(u0)
+            slot = diff % nx
+            band = (np.bincount(slot, pair.real, nx)
+                    + 1j * np.bincount(slot, pair.imag, nx))
+            energy = np.fft.ifft(band).real * (nx / g.period**2)  # T(x)
+            return float(np.sqrt(np.max(energy))) / (norm * u0.l2_norm())
 
         members = _block_members(seed, count, n, lam, include_coherent,
                                  positive_only=positive_only)
@@ -491,13 +560,6 @@ INTERACTION_CLASSES = {
 
 
 TRILINEAR_TAU_BINS = 8  # spike-grid delta-tau = 2^k4 / this
-
-
-def _block_lattice(k, lam):
-    mmax = int(np.ceil(2.0 ** (k + 1) * lam)) - 1
-    m = np.arange(-mmax, mmax + 1)
-    keep = block_indicator(m / lam, k)
-    return m[keep]
 
 
 @dataclass(frozen=True)
@@ -763,8 +825,8 @@ class TrilinearConfig:
         spectral grid, which need not resolve theta (at theta = 0 this is
         the generic windowed norm, as the tests check).  Every window center
         shares dt and the zero-padded length, so the windows are transformed
-        in batches of at most CHUNK_BYTES of spectra and all annuli take one
-        matrix product with the weights eta_j(sig + theta)^2.
+        in batches of at most CHUNK_BYTES of spectra, and each annulus
+        weighs their power by eta_j(sig + theta)^2 over its own support.
         """
         k = self.ks[s]
         half_env = bumps.OUTER * self.env_scale
@@ -783,18 +845,32 @@ class TrilinearConfig:
         npad = bumps.next_pow2(
             max(4 * nmax, int(2.0 * np.pi * 32.0 / (2.0**k * dt)))
         )
-        sig = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
+        sig = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(npad, dt))
         dsig = 2.0 * np.pi / (npad * dt)
         jmax = bumps.max_resolved_j(float(np.max(np.abs(sig))) + abs(theta))
-        weights = bumps.eta_stack(sig + theta, jmax)
-        weights *= weights
+        # eta_j vanishes outside INNER 2^(j-1) <= |tau| <= OUTER 2^j (eta_0
+        # outside |tau| <= OUTER), so each annulus is weighed only over the
+        # two runs of the ascending grid sig + theta inside it
+        tau = sig + theta
+        pieces = []
+        for j in range(jmax + 1):
+            hi = bumps.OUTER * 2.0**j
+            lo = bumps.INNER * 2.0 ** (j - 1) if j else 0.0
+            for a, b in ((-hi, -lo), (lo, hi)):
+                i0, i1 = np.searchsorted(tau, [a, b])
+                w = bumps.eta0(tau[i0:i1] / 2.0**j)
+                if j:
+                    w -= bumps.eta0(tau[i0:i1] / 2.0 ** (j - 1))
+                pieces.append((j, i0, i1, w * w))
         per = max(1, CHUNK_BYTES // (16 * npad))
-        blocks = []
+        blocks = np.zeros((ncent, jmax + 1))
         for first in range(0, ncent, per):
             spec = np.fft.fft(windows[first:first + per], npad, axis=1) * dt
-            blocks.append(dsig * np.abs(spec) ** 2 @ weights.T)
+            power = dsig * np.fft.fftshift(np.abs(spec) ** 2, axes=1)
+            for j, i0, i1, w in pieces:
+                blocks[first:first + per, j] += power[:, i0:i1] @ w
         jscale = 2.0 ** (0.5 * np.arange(jmax + 1))
-        return float(np.max(np.sqrt(np.concatenate(blocks)) @ jscale))
+        return float(np.max(np.sqrt(blocks) @ jscale))
 
 
 def trilinear_ratio(cls_name, ks, lam=1.0, law=BENJAMIN_ONO,

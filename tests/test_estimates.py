@@ -131,6 +131,52 @@ def oracle_lhs_norm(cfg, profiles, centers=None, thetas=(0.0, 0.0, 0.0)):
     return best
 
 
+
+def time_chunks(times, size=256):
+    """Slices of the time grid that share their end points, so trapezoid
+    sums over them add up to the sum over the whole grid, and no chunk's
+    space-time grid exceeds ``size`` + 1 rows."""
+    return [slice(i, min(i + size + 1, times.size))
+            for i in range(0, times.size - 1, size)]
+
+
+def oracle_smoothing_norm(u0, law, times):
+    """||u||_{Linf_x L2_t} of the free solution on the space-time grid of
+    _block_nx(u0) points (the evaluation the lattice route of
+    smoothing_ratio replaced), built in chunks of times."""
+    nx = es._block_nx(u0)
+    total = 0.0
+    for sl in time_chunks(times):
+        vals = es.free_solution_grid(u0, law, times[sl], nx)
+        total = total + np.trapezoid(np.abs(vals) ** 2, times[sl], axis=0)
+    return float(np.max(np.sqrt(total)))
+
+
+def oracle_bilinear_ratio(u0, v0, n, law, conjugated=False):
+    """||u v||_{L2_t L2_x([0, 2^-n])} / (2^(-n/2) ||u0|| ||v0||) with both
+    free solutions on the space-time grid of _block_nx(u0, v0) points (the
+    evaluation the lattice route of bilinear_ratio replaced)."""
+    times = es._time_grid(n)
+    nx = es._block_nx(u0, v0)
+    dx = u0.geometry.period / nx
+    total = 0.0
+    for sl in time_chunks(times):
+        uu = es.free_solution_grid(u0, law, times[sl], nx)
+        vv = es.free_solution_grid(v0, law, times[sl], nx)
+        if conjugated:
+            vv = np.conj(vv)
+        l2sq = dx * np.sum(np.abs(uu * vv) ** 2, axis=1)
+        total += np.trapezoid(l2sq, times[sl])
+    return np.sqrt(total) / (2.0 ** (-n / 2.0) * u0.l2_norm() * v0.l2_norm())
+
+
+def assert_matches_oracle(point, ratios):
+    """Max and mean of an ensemble point within 1e-12 of the oracle's."""
+    want_max, want_mean = max(ratios), float(np.mean(ratios))
+    assert abs(point.max_ratio - want_max) <= 1e-12 * want_max
+    assert abs(point.mean_ratio - want_mean) <= 1e-12 * want_mean
+
+
 def test_fit_exponent():
     s, i, r = es.fit_exponent([(n, -0.5 * n + 3.0) for n in range(3, 9)])
     assert abs(s + 0.5) < 1e-12 and r < 1e-12
@@ -250,6 +296,65 @@ def test_smoothing():
     assert logrep.slope <= 0.1
 
 
+
+LAWS = pytest.mark.parametrize("law", [BENJAMIN_ONO, SCHROEDINGER],
+                               ids=["bo", "schroedinger"])
+
+
+@LAWS
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_smoothing_matches_grid_oracle(law, lam):
+    """The lattice route of smoothing_ratio agrees with the space-time grid
+    on blocks 0, 3 and 8, for two-sided data with the sharp weight and
+    one-sided data with the log weight, Gaussian and coherent members."""
+    ns = [0, 3, 8]
+    for positive_only in (False, True):
+        rep = es.smoothing_ratio(ns, lam=lam, law=law, seed=15, count=1,
+                                 positive_only=positive_only,
+                                 log_normalized=positive_only)
+        assert rep.skipped == 0
+        for n, point in zip(ns, rep.points):
+            times = es._time_grid(n)
+            norm = 2.0 ** (-n / 2.0)
+            if positive_only:
+                norm *= max(float(n), 1.0)
+            ratios = []
+            for u0 in es._block_members(15, 1, n, lam, True,
+                                        positive_only=positive_only):
+                if positive_only:
+                    u0 = es._one_sided(u0, 1)
+                ratios.append(oracle_smoothing_norm(u0, law, times)
+                              / (norm * u0.l2_norm()))
+            assert_matches_oracle(point, ratios)
+
+
+@LAWS
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_bilinear_matches_grid_oracle(law, lam):
+    """The lattice route of bilinear_ratio agrees with the space-time grid,
+    plain and conjugated, on blocks 5, 6 and 8 against block 1, and with
+    separated (one-sided) factors on blocks 0, 3 and 5; Gaussian and
+    coherent members."""
+    cases = [([5, 6, 8], False), ([0, 3, 5], True)]
+    for ns, separated in cases:
+        for conjugated in (False, True):
+            rep = es.bilinear_ratio(ns, 1, lam=lam, law=law, seed=16,
+                                    count=1, conjugated=conjugated,
+                                    separated=separated)
+            assert rep.skipped == 0
+            for n, point in zip(ns, rep.points):
+                kv = n if separated else 1
+                ratios = []
+                for u0, v0 in zip(es._block_members(16, 1, n, lam, True),
+                                  es._block_members(16 + 104729, 1, kv, lam,
+                                                    True)):
+                    if separated:
+                        u0, v0 = es._one_sided(u0, 1), es._one_sided(v0, -1)
+                    ratios.append(oracle_bilinear_ratio(u0, v0, n, law,
+                                                        conjugated))
+                assert_matches_oracle(point, ratios)
+
+
 def test_l4_modulation():
     rep = es.l4_modulation_ratio([0, 1, 2, 3, 4, 5, 6], count=6, seed=5)
     assert abs(rep.slope) <= 0.1
@@ -266,8 +371,8 @@ def test_conjugation_reflection_identity():
     nx = es._block_nx(u0)
     a = es.free_solution_grid(ubar, SCHROEDINGER, times, nx)
     b = es.free_solution_grid(u0, SCHROEDINGER, -times, nx)
-    la = es._lq_t(es._lp_x(a, 1.0, 4), times, 6)
-    lb = es._lq_t(es._lp_x(b, 1.0, 4), times, 6)
+    la = np.trapezoid(es._lp_x(a, 1.0, 4) ** 6, times) ** (1.0 / 6.0)
+    lb = np.trapezoid(es._lp_x(b, 1.0, 4) ** 6, times) ** (1.0 / 6.0)
     assert abs(la - lb) < 1e-12 * la
 
 
