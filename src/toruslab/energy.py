@@ -241,42 +241,35 @@ def check_growth_window(sym, xi_max, n=256):
 # correction multiplier
 
 
-def q_smooth(sym, x, y):
-    """q(x, y) = (x a(x) + y a(y)) / (x + y): the divided difference of
-    g(x) = x a(x) at nodes x, -y; confluent limit g'((x - y)/2)."""
+def _divided_difference(f, fprime, x, y, tol):
+    """(f(x) - f(y)) / (x - y), and f'((x + y)/2) where the nodes are
+    confluent, |x - y| <= tol * max(|x|, |y|, 1)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    s = x + y
     scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
-    direct = np.abs(s) > Q_CONFLUENT * scale
+    direct = np.abs(x - y) > tol * scale
     out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=float)
     xs, ys = np.broadcast_arrays(x, y)
     d = direct
-    out[d] = (sym.g(xs[d]) + sym.g(ys[d])) / (xs[d] + ys[d])
+    out[d] = (f(xs[d]) - f(ys[d])) / (xs[d] - ys[d])
     c = ~direct
     if np.any(c):
-        out[c] = sym.g_prime(0.5 * (xs[c] - ys[c]))
+        out[c] = fprime(0.5 * (xs[c] + ys[c]))
     return out
+
+
+def q_smooth(sym, x, y):
+    """q(x, y) = (x a(x) + y a(y)) / (x + y): the divided difference of the
+    odd g(x) = x a(x) at nodes x, -y; confluent limit g'((x - y)/2)."""
+    return _divided_difference(sym.g, sym.g_prime, x,
+                               -np.asarray(y, dtype=float), Q_CONFLUENT)
 
 
 def _omega_dd(law, x, y):
     """Divided difference (omega(x) - omega(y)) / (x - y), confluent limit
-    omega'((x + y)/2); requires an odd dispersion relation."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x - y
-    scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
-    direct = np.abs(d) > DEN_CONFLUENT * scale
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=float)
-    xs, ys = np.broadcast_arrays(x, y)
-    out[direct] = (law.omega(xs[direct]) - law.omega(ys[direct])) / (
-        xs[direct] - ys[direct]
-    )
-    c = ~direct
-    if np.any(c):
-        mid = 0.5 * (xs[c] + ys[c])
-        out[c] = -2.0 * np.abs(mid)
-    return out
+    omega'((x + y)/2) = -2 |(x + y)/2|; requires an odd dispersion relation."""
+    return _divided_difference(law.omega, lambda mid: -2.0 * np.abs(mid), x, y,
+                               DEN_CONFLUENT)
 
 
 def resonance_function(law, xi1, xi2, xi3, xi4):
@@ -304,10 +297,9 @@ def _ratio_extension_odd(sym, law, z1, z2, z3, z4):
     return out
 
 
-def _ratio_extension_schroedinger(sym, z):
+def _ratio_extension_schroedinger(sym, z1, z2, z3, z4):
     """Q/Omega for the slot-signed quadratic law: Omega = -2 s12 s23 with
     s12 = z1 + z2, s23 = z2 + z3; divide by the larger factor."""
-    z1, z2, z3, z4 = z
     s12 = z1 + z2
     s23 = z2 + z3
     scale = np.maximum.reduce([np.abs(z1), np.abs(z2), np.abs(z3), np.abs(z4)])
@@ -348,6 +340,18 @@ def _best_pairing(xi1, xi2, xi3, xi4):
     return z1, z2, z3, z4
 
 
+def _extension(sym, law, xi):
+    """Smooth extension of Q/Omega across the resonance set for either law."""
+    if law.odd:
+        return _ratio_extension_odd(sym, law, *_best_pairing(*xi))
+    return _ratio_extension_schroedinger(sym, *xi)
+
+
+def _b4_prefactor(law):
+    """The law's normalization of b4 = prefactor * Q / Omega."""
+    return TWO_PI_SQ_INV / 6.0 if law.odd else -TWO_PI_SQ_INV / 2.0
+
+
 def b4_multiplier(sym, xi, law):
     """Correction multiplier on the zero-sum set (+1-sign normalization).
 
@@ -375,17 +379,11 @@ def b4_multiplier(sym, xi, law):
         ratio[quot] = qq / omega[quot]
     near = ~quot
     if np.any(near):
-        if law.odd:
-            z = _best_pairing(xi1[near], xi2[near], xi3[near], xi4[near])
-            ratio[near] = _ratio_extension_odd(sym, law, *z)
-        else:
-            z = (xi1[near], xi2[near], xi3[near], xi4[near])
-            ratio[near] = _ratio_extension_schroedinger(sym, z)
+        ratio[near] = _extension(sym, law,
+                                 [x[near] for x in (xi1, xi2, xi3, xi4)])
     if not np.all(np.isfinite(ratio)):
         raise AssertionError("uncovered tuple in the multiplier dispatch")
-    if law.odd:
-        return (TWO_PI_SQ_INV / 6.0) * ratio
-    return (-TWO_PI_SQ_INV / 2.0) * ratio
+    return _b4_prefactor(law) * ratio
 
 
 def b4_branch_values(sym, xi, law):
@@ -396,14 +394,8 @@ def b4_branch_values(sym, xi, law):
     qq = sym.g(xi1) + sym.g(xi2) + sym.g(xi3) + sym.g(xi4)
     with np.errstate(divide="ignore", invalid="ignore"):
         quot = np.where(omega != 0.0, qq / omega, np.nan)
-    if law.odd:
-        z = _best_pairing(xi1, xi2, xi3, xi4)
-        ext = _ratio_extension_odd(sym, law, *z)
-        pref = TWO_PI_SQ_INV / 6.0
-    else:
-        ext = _ratio_extension_schroedinger(sym, (xi1, xi2, xi3, xi4))
-        pref = -TWO_PI_SQ_INV / 2.0
-    return pref * quot, pref * ext
+    pref = _b4_prefactor(law)
+    return pref * quot, pref * _extension(sym, law, (xi1, xi2, xi3, xi4))
 
 
 # ---------------------------------------------------------------------------
@@ -507,38 +499,32 @@ def _gamma4_value(multiplier, slots, band, lam):
     return simplex.weight * total
 
 
-def _slots_for_law(u, law, band):
+def _quartic_form(multiplier, u, law, band):
+    """lam^-3 sum_Gamma4 multiplier * the law's slot product of u over
+    |m| <= band (default: the support band): uhat in every slot for the real
+    flow, uhat and conj(uhat(-xi)) alternating for the complex flow."""
+    _check_energy_data(u, law)
+    if band is None:
+        band = max(_support_band(u), 1)
     tab = _coeff_lookup(u, band)
-    if law.odd:
-        return [tab, tab, tab, tab]
-    bar = np.conj(tab[::-1])  # conj(uhat(-xi)) at slot m
-    return [tab, bar, tab, bar]
+    bar = tab if law.odd else np.conj(tab[::-1])
+    return _gamma4_value(multiplier, [tab, bar, tab, bar], band, u.lam)
 
 
 def e1_correction(sym, u, law, band=None):
     """Quartic correction energy with the +1-normalized multiplier; the
     corrected quantity along the sign-sigma flow is E0 + sigma * E1."""
-    _check_energy_data(u, law)
-    if band is None:
-        band = max(_support_band(u), 1)
-    slots = _slots_for_law(u, law, band)
-    val = _gamma4_value(
-        lambda *xi: b4_multiplier(sym, xi, law), slots, band, u.lam
-    )
+    val = _quartic_form(lambda *xi: b4_multiplier(sym, xi, law), u, law, band)
     return float(val.real)
 
 
 def r4_form(sym, u, law, sigma, band=None):
     """Symmetrized quartic form: the exact value of d/dt E0 along the flow."""
-    _check_energy_data(u, law)
-    if band is None:
-        band = max(_support_band(u), 1)
-    slots = _slots_for_law(u, law, band)
 
     def mult(x1, x2, x3, x4):
         return 1j * (sym.g(x1) + sym.g(x2) + sym.g(x3) + sym.g(x4))
 
-    val = _gamma4_value(mult, slots, band, u.lam)
+    val = _quartic_form(mult, u, law, band)
     pref = -sigma * TWO_PI_SQ_INV / (6.0 if law.odd else 2.0)
     return float((pref * val).real)
 
@@ -569,11 +555,12 @@ def e0_time_derivative(sym, u, law, sigma, band=None):
     return float(2.0 * np.sum(a * (np.conj(u.coeffs) * nhat).real) / g.lam)
 
 
-def r6_form(sym, u, law, sigma=1, band=None):
+def r6_form(sym, u, law, band=None):
     """Sextic remainder: the exact value of d/dt (E0 + sigma E1) along the
     flow whose nonlinearity is truncated to ``band`` (default: the
     integrator's dealiased band).  Computed by contracting three slots
-    through the exact cubic convolution."""
+    through the exact cubic convolution.  R6 and b4 do not depend on sigma
+    (sigma^2 = 1), so neither does this form."""
     _check_energy_data(u, law)
     g = u.geometry
     if band is None:
@@ -588,38 +575,31 @@ def r6_form(sym, u, law, sigma=1, band=None):
     wtab[m + w_band] = cube[m % npad]
     utab = _coeff_lookup(u, w_band)
 
-    def b4(*xi):
-        return b4_multiplier(sym, xi, law)
+    def mult(weight, s):
+        """weight * i * b4 * xi_s, for the cube contracted into slot s."""
+        return lambda *xi: weight * 1j * b4_multiplier(sym, xi, law) * xi[s]
 
     if law.odd:
-
-        def mult(x1, x2, x3, x4):
-            return (4.0 / 3.0) * 1j * b4(x1, x2, x3, x4) * x4
-
-        val = _gamma4_value(mult, [utab, utab, utab, wtab], w_band, u.lam)
-        return float(val.real)
-    bar = np.conj(utab[::-1])
-    ftab = wtab
-    gtab = np.conj(wtab[::-1])
-
-    def mult1(x1, x2, x3, x4):
-        return 2.0 * 1j * b4(x1, x2, x3, x4) * x1
-
-    def mult2(x1, x2, x3, x4):
-        return 2.0 * 1j * b4(x1, x2, x3, x4) * x2
-
-    val1 = _gamma4_value(mult1, [ftab, bar, utab, bar], w_band, u.lam)
-    val2 = _gamma4_value(mult2, [utab, gtab, utab, bar], w_band, u.lam)
-    return float((val1 + val2).real)
+        terms = [(4.0 / 3.0, 3, [utab, utab, utab, wtab])]
+    else:
+        bar = np.conj(utab[::-1])
+        terms = [(2.0, 0, [wtab, bar, utab, bar]),
+                 (2.0, 1, [utab, np.conj(wtab[::-1]), utab, bar])]
+    val = sum(_gamma4_value(mult(weight, s), slots, w_band, u.lam)
+              for weight, s, slots in terms)
+    return float(val.real)
 
 
-def r6_enumerated(sym, u, law, sigma=1, band=None):
+def r6_enumerated(sym, u, law, band=None):
     """Brute-force six-fold zero-sum enumeration of the remainder (oracle
-    path, independent of the contracted evaluation; small grids only).
+    path, independent of the contracted evaluation; small grids only).  Like
+    R6 and b4, it does not depend on sigma.
 
-    Real flow: sum over Gamma6 of (4/3) i b4(x1, x2, x3, x456) x456 prod uhat
-    with |m4+m5+m6| <= band.  Complex flow: the two slot-contracted terms
-    with the alternating conjugation pattern.
+    One pass over every (m1, ..., m5) of the support band, m6 = -(m1 + ...
+    + m5) kept inside it.  Real flow: (4/3) i b4(x1, x2, x3, x456) x456 prod
+    uhat.  Complex flow, alternating conjugation: 2 i b4(x123, x4, x5, x6)
+    x123 and 2 i b4(x1, x234, x5, x6) x234 times the slot product.  Each
+    contracted frequency is kept where it lies inside ``band``.
     """
     _check_energy_data(u, law)
     g = u.geometry
@@ -628,72 +608,23 @@ def r6_enumerated(sym, u, law, sigma=1, band=None):
     b = max(_support_band(u), 1)
     lam = g.lam
     utab = _coeff_lookup(u, b)
-    bar = np.conj(utab[::-1])
-    if law.odd:
-        slot = [utab] * 6
-    else:
-        slot = [utab, bar, utab, bar, utab, bar]
+    slot = [utab] * 6 if law.odd else [utab, np.conj(utab[::-1])] * 3
     rng = np.arange(-b, b + 1)
+    ms = [a.ravel() for a in np.meshgrid(*[rng] * 5, indexing="ij")]
+    ms.append(-np.sum(ms, axis=0))
+    keep = np.abs(ms[5]) <= b
+    ms = [a[keep] for a in ms]
+    c = slot[0][ms[0] + b]
+    for tab, m in zip(slot[1:], ms[1:]):
+        c = c * tab[m + b]
+    terms = [(4.0 / 3.0, 3)] if law.odd else [(2.0, 0), (2.0, 1)]
     total = 0.0 + 0.0j
-    for m1 in rng:
-        c1 = slot[0][m1 + b]
-        if c1 == 0.0:
-            continue
-        for m2 in rng:
-            c12 = c1 * slot[1][m2 + b]
-            if c12 == 0.0:
-                continue
-            for m3 in rng:
-                c123 = c12 * slot[2][m3 + b]
-                if c123 == 0.0:
-                    continue
-                for m4 in rng:
-                    c1234 = c123 * slot[3][m4 + b]
-                    if c1234 == 0.0:
-                        continue
-                    m5 = rng
-                    m6 = -(m1 + m2 + m3 + m4 + m5)
-                    keep = np.abs(m6) <= b
-                    if not np.any(keep):
-                        continue
-                    m5k = m5[keep]
-                    m6k = m6[keep]
-                    c = c1234 * slot[4][m5k + b] * slot[5][m6k + b]
-                    live = c != 0.0
-                    if not np.any(live):
-                        continue
-                    m5l, m6l, cl = m5k[live], m6k[live], c[live]
-                    nn = m5l.size
-                    x1 = np.full(nn, m1 / lam)
-                    x2 = np.full(nn, m2 / lam)
-                    x3 = np.full(nn, m3 / lam)
-                    x4 = np.full(nn, m4 / lam)
-                    x5 = m5l / lam
-                    x6 = m6l / lam
-                    if law.odd:
-                        m456 = m4 + m5l + m6l
-                        ok = np.abs(m456) <= band
-                        if np.any(ok):
-                            x456 = m456[ok] / lam
-                            b4v = b4_multiplier(
-                                sym, (x1[ok], x2[ok], x3[ok], x456), law
-                            )
-                            total += np.sum(
-                                (4.0 / 3.0) * 1j * b4v * x456 * cl[ok]
-                            )
-                    else:
-                        # slot-1 contraction over (x1, x2, x3)
-                        m123 = m1 + m2 + m3
-                        if abs(m123) <= band:
-                            x123 = np.full(nn, m123 / lam)
-                            b4v = b4_multiplier(sym, (x123, x4, x5, x6), law)
-                            total += np.sum(2.0 * 1j * b4v * x123 * cl)
-                        # slot-2 contraction over (x2, x3, x4)
-                        m234 = m2 + m3 + m4
-                        if abs(m234) <= band:
-                            x234 = np.full(nn, m234 / lam)
-                            b4v = b4_multiplier(sym, (x1, x234, x5, x6), law)
-                            total += np.sum(2.0 * 1j * b4v * x234 * cl)
+    for weight, s in terms:
+        mc = ms[s] + ms[s + 1] + ms[s + 2]
+        ok = np.abs(mc) <= band
+        x = [m[ok] / lam for m in ms[:s] + [mc] + ms[s + 3:]]
+        b4v = b4_multiplier(sym, x, law)
+        total += np.sum(weight * 1j * b4v * x[s] * c[ok])
     return float((lam ** (-5) * TWO_PI_SQ_INV * total).real)
 
 
@@ -725,7 +656,9 @@ def cancellation_check(traj, sym, band=None):
     algebraic forms R4 and R6 along one trajectory.
 
     Returns a dict with the two max absolute discrepancies and the scales
-    (max |R4|, max |R6|) for relative reporting.
+    (max |R4|, max |R6|) for relative reporting, the series (t, E0, E1, R4,
+    R6) and the derivatives (dE0/dt, d(E0 + sigma E1)/dt), nan at the
+    snapshots outside the stencil's interior.
     """
     law = traj.problem.law
     sigma = traj.problem.sigma
@@ -743,9 +676,11 @@ def cancellation_check(traj, sym, band=None):
         e0s[i] = e0_energy(sym, u, law)
         e1s[i] = e1_correction(sym, u, law)
         r4s[i] = r4_form(sym, u, law, sigma)
-        r6s[i] = r6_form(sym, u, law, sigma, band=band)
+        r6s[i] = r6_form(sym, u, law, band=band)
     idx, d0 = _fd_derivative(e0s, dt)
     _, dc = _fd_derivative(e0s + sigma * e1s, dt)
+    derivs = np.full((2, n), np.nan)
+    derivs[:, idx] = d0, dc
     res4 = np.abs(d0 - r4s[idx])
     res6 = np.abs(dc - r6s[idx])
     # residual at the interior time closest to the window midpoint: a fixed
@@ -759,6 +694,6 @@ def cancellation_check(traj, sym, band=None):
         "residual_r6_mid": float(res6[imid]),
         "scale_r4": float(np.max(np.abs(r4s))),
         "scale_r6": float(np.max(np.abs(r6s))),
-        "sigma": sigma,
         "series": (traj.times, e0s, e1s, r4s, r6s),
+        "derivatives": tuple(derivs),
     }

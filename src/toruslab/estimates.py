@@ -825,7 +825,7 @@ class TrilinearConfig:
         spectral grid, which need not resolve theta (at theta = 0 this is
         the generic windowed norm, as the tests check).  Every window center
         shares dt and the zero-padded length, so the windows are transformed
-        in batches of at most CHUNK_BYTES of spectra, and each annulus
+        in batches of at most CHUNK_BYTES of real spectra, and each annulus
         weighs their power by eta_j(sig + theta)^2 over its own support.
         """
         k = self.ks[s]
@@ -838,7 +838,7 @@ class TrilinearConfig:
         grids = [np.arange(c - half_win, c + half_win + dt / 2, dt)
                  for c in centers]
         nmax = max(t.size for t in grids)
-        windows = np.zeros((ncent, nmax), dtype=complex)
+        windows = np.zeros((ncent, nmax))
         for i, (c, t) in enumerate(zip(centers, grids)):
             windows[i, :t.size] = (self.envelope(t)
                                    * bumps.eta0(2.0**k * (t - c)))
@@ -862,11 +862,14 @@ class TrilinearConfig:
                 if j:
                     w -= bumps.eta0(tau[i0:i1] / 2.0 ** (j - 1))
                 pieces.append((j, i0, i1, w * w))
-        per = max(1, CHUNK_BYTES // (16 * npad))
+        per = max(1, CHUNK_BYTES // (8 * npad))
         blocks = np.zeros((ncent, jmax + 1))
         for first in range(0, ncent, per):
-            spec = np.fft.fft(windows[first:first + per], npad, axis=1) * dt
-            power = dsig * np.fft.fftshift(np.abs(spec) ** 2, axes=1)
+            spec = np.fft.rfft(windows[first:first + per], npad, axis=1) * dt
+            p = dsig * np.abs(spec) ** 2
+            # real windows: the power is even, so mirror the one-sided
+            # spectrum onto the ascending grid -npad/2 .. npad/2 - 1
+            power = np.concatenate([p[:, :0:-1], p[:, :-1]], axis=1)
             for j, i0, i1, w in pieces:
                 blocks[first:first + per, j] += power[:, i0:i1] @ w
         jscale = 2.0 ** (0.5 * np.arange(jmax + 1))

@@ -179,19 +179,7 @@ def write_trajectory_csv(traj, s, path):
 def energy_series_rows(report):
     """Energy-diagnostic rows (t, E0, E1, R4, R6, dE0/dt, d(E0+sigma E1)/dt)
     from a cancellation report (interior rows carry the derivatives)."""
-    times, e0s, e1s, r4s, r6s = report["series"]
-    sigma = report.get("sigma", 1)
-    dt = float(times[1] - times[0])
-    idx, d0 = en._fd_derivative(e0s, dt)
-    _, dc = en._fd_derivative(e0s + sigma * e1s, dt)
-    deriv0 = np.full(len(times), np.nan)
-    derivc = np.full(len(times), np.nan)
-    deriv0[idx] = d0
-    derivc[idx] = dc
-    return [
-        (float(times[i]), e0s[i], e1s[i], r4s[i], r6s[i], deriv0[i], derivc[i])
-        for i in range(len(times))
-    ]
+    return list(zip(*report["series"], *report["derivatives"]))
 
 
 def write_energy_series_csv(report, path):

@@ -4,6 +4,9 @@ import pytest
 from toruslab import energy as en
 from toruslab import evolution as ev
 from toruslab import spectral as sp
+from toruslab.bumps import next_pow2
+
+from oracles import r6_scalar_loop
 
 BO = ev.BENJAMIN_ONO
 NLS = ev.SCHROEDINGER
@@ -14,9 +17,9 @@ def sym():
     return en.DyadicSymbol.from_exponent(0.3)
 
 
-def rand_field(m=64, band=20, real=True, amp=0.4, seed=0):
+def rand_field(m=64, band=20, real=True, amp=0.4, seed=0, lam=1.0):
     rng = np.random.default_rng(seed)
-    g = sp.TorusGeometry(1.0, m)
+    g = sp.TorusGeometry(lam, m)
     return sp.random_field(g, rng, band=band, real=real) * amp
 
 
@@ -244,13 +247,14 @@ def test_e0_examples(sym):
 
 
 def test_r4_identity_both_laws(sym):
-    for seed in range(4):
-        u = rand_field(seed=20 + seed, band=18)
+    # the last input, on the lam = 2 torus, checks the lam^-3 normalization
+    for seed, lam in enumerate([1.0] * 4 + [2.0]):
+        u = rand_field(seed=20 + seed, band=18, lam=lam)
         for sigma in (1, -1):
             r4 = en.r4_form(sym, u, BO, sigma)
             d0 = en.e0_time_derivative(sym, u, BO, sigma)
             assert abs(r4 - d0) <= 1e-10 * max(abs(d0), 1e-14)
-        uc = rand_field(seed=30 + seed, band=18, real=False)
+        uc = rand_field(seed=30 + seed, band=18, real=False, lam=lam)
         r4 = en.r4_form(sym, uc, NLS, 1)
         d0 = en.e0_time_derivative(sym, uc, NLS, 1)
         assert abs(r4 - d0) <= 1e-10 * abs(d0)
@@ -278,10 +282,10 @@ def test_e1_homogeneity_and_boundary(sym):
 
 def test_r6_contracted_vs_enumerated(sym):
     rng = np.random.default_rng(12)
-    for m in (8, 12, 16):
-        from toruslab.bumps import next_pow2
-
-        g = sp.TorusGeometry(1.0, max(16, next_pow2(m)))
+    # the last input, on the lam = 2 torus, checks the lam^-3 and lam^-5
+    # normalizations of the two paths
+    for lam, m in ((1.0, 8), (1.0, 12), (1.0, 16), (2.0, 16)):
+        g = sp.TorusGeometry(lam, max(16, next_pow2(m)))
         band = max(2, m // 3)
         ur = sp.random_field(g, rng, band=band, real=True) * 0.7
         c = en.r6_form(sym, ur, BO)
@@ -291,6 +295,20 @@ def test_r6_contracted_vs_enumerated(sym):
         c = en.r6_form(sym, uc, NLS)
         e = en.r6_enumerated(sym, uc, NLS)
         assert abs(c - e) <= 1e-10 * max(abs(e), 1e-14)
+
+
+def test_r6_enumerated_matches_scalar_loop(sym):
+    """The one-pass enumeration sums the same Gamma6 terms as a plain loop
+    over the six-tuples, up to summation order, on both laws and tori.  The
+    flow band 3 cuts the contracted frequencies, which reach 6."""
+    rng = np.random.default_rng(18)
+    for lam in (1.0, 2.0):
+        g = sp.TorusGeometry(lam, 16)
+        for real, law in ((True, BO), (False, NLS)):
+            u = sp.random_field(g, rng, band=2, real=real) * 0.7
+            ref = r6_scalar_loop(sym, u, law, 3)
+            got = en.r6_enumerated(sym, u, law, band=3)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_r6_flat_symbol_and_homogeneity(sym):
