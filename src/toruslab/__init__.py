@@ -40,10 +40,11 @@ from .evolution import (
     dealias_band,
     default_dt,
     evolve,
+    evolve_many,
+    evolve_two_sided,
     free_evolve,
     reflect,
     rescale,
-    step_nonlinear,
 )
 from .spacetime import (
     SpaceTimeField,

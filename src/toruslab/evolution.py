@@ -8,13 +8,21 @@ The two model equations, with sign sigma = +1 (focusing) or -1 (defocusing):
 On the Fourier side both read d_t uhat = i*omega(xi)*uhat + Nhat(uhat) with
 omega(xi) = -xi|xi| resp. -xi^2, and a cubic Nhat evaluated pseudospectrally.
 
-Time stepping is integrating-factor RK4: the stiff diagonal phase is handled
-exactly, classical RK4 acts on the slow interaction-picture variable.  Cubic
-products come from ``spectral.cubic_coeffs`` on a twice-padded grid (exact for
-every retained mode) and the result is truncated to the band |m| <= M/3, so
-the semi-discrete system is an exact Galerkin truncation and conserves mass
-and energy in continuous time; the only drift is the RK4 time error.  The
-free solution's (times, modes) coefficient table is built by ``free_rows``.
+Time stepping is integrating-factor RK4 (Kassam-Trefethen): the stiff
+diagonal phase is handled exactly, classical RK4 acts on the slow
+interaction-picture variable.  The state holds only the band |m| <= M/3; for
+the real flow only its half 0 <= m <= M/3, the rest following by conjugate
+symmetry.  Cubic products come from ``spectral.cubic_coeffs`` on n >= 4 band
++ 1 points (exact for every retained mode): a real FFT of the half spectrum
+for the real flow, a complex FFT for the Schroedinger flow.  The
+semi-discrete system is thus an exact Galerkin truncation and conserves mass
+and energy in continuous time; the only drift is the RK4 time error.
+
+``evolve_many`` advances a batch of problems that share a geometry, law and
+sigma as one (batch, modes) state, each row in its own time direction;
+``evolve`` is its one-problem case and ``evolve_two_sided`` joins backward
+and forward runs into trajectories over [-T, T].  The free solution's
+(times, modes) coefficient table is built by ``free_rows``.
 
 Stability note: the linear part imposes no step restriction.  The default
 step dt = 0.5 / max|omega| keeps the phase of the nonlinear interaction
@@ -26,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bumps import fast_len
 from .spectral import (SpectralField, TorusGeometry, _negation_index,
                        cubic_coeffs)
 
@@ -95,53 +104,63 @@ def dealias_band(geometry):
     return geometry.grid_size // 3
 
 
-def project_band(f, band):
-    mask = np.abs(f.geometry.mvals) <= band
-    return SpectralField(f.geometry, np.where(mask, f.coeffs, 0.0), real=f.real)
-
-
 class FlowIntegrator:
-    """Integrating-factor RK4 stepper for one FlowProblem at fixed dt."""
+    """Integrating-factor RK4 stepper for states that share the geometry,
+    law and sigma of ``problem``.  ``dt`` is one signed step, or one per row
+    of a (rows, modes) state.  States hold the modes ``self.modes``;
+    ``pack`` and ``unpack`` convert from and to full coefficient rows."""
 
     def __init__(self, problem, dt):
-        self.problem = problem
         g = problem.u0.geometry
         self.geometry = g
-        self.band = dealias_band(g)
-        self.band_mask = np.abs(g.mvals) <= self.band
-        self._npad = 2 * g.grid_size
-        self._slots = g.mvals % self._npad  # the M modes on the padded grid
-        xi = g.xi
+        self.real = problem.law.odd
+        band = dealias_band(g)
+        self.modes = np.arange(0 if self.real else -band, band + 1)
+        self.n = fast_len(4 * band + 1)
+        # the half spectrum fills slots 0..band of the real transform
+        self._slots = slice(0, band + 1) if self.real else self.modes % self.n
+        xi = self.modes / g.lam
         omega = problem.law.omega(xi)
-        omega_max = float(np.max(np.abs(omega[self.band_mask])))
-        if abs(dt) * omega_max > 4.0:
+        h = np.reshape(np.asarray(dt, dtype=float), (-1, 1))
+        dt_omega = float(np.max(np.abs(h)) * np.max(np.abs(omega)))
+        if dt_omega > 4.0:
             raise ValueError(
-                f"dt * max|omega| = {abs(dt) * omega_max:.3g} exceeds the "
+                f"dt * max|omega| = {dt_omega:.3g} exceeds the "
                 "documented accuracy regime (<= 4)"
             )
-        self.dt = float(dt)
-        self.e_full = np.exp(1j * self.dt * omega)
-        self.e_half = np.exp(1j * 0.5 * self.dt * omega)
-        if problem.law.tag == "benjamin_ono":
-            self._mult = problem.sigma * (1j * xi) / 3.0
-            self._conj_mid = False
-        else:
-            self._mult = problem.sigma * (1j * xi)
-            self._conj_mid = True
+        self.e_full = np.exp(1j * h * omega)
+        self.e_half = np.exp(1j * 0.5 * h * omega)
+        # the RK4 weights, formed once
+        self._h2, self._h6 = 0.5 * h, h / 6.0
+        self._h_eh, self._eh2 = h * self.e_half, 2.0 * self.e_half
+        self._mult = problem.sigma * (1j * xi) / (3.0 if self.real else 1.0)
 
-    def nonlinearity(self, coeffs):
-        chat = cubic_coeffs(coeffs, self._slots, self._npad,
-                            self.geometry.period, self._conj_mid)[self._slots]
-        return np.where(self.band_mask, self._mult * chat, 0.0)
+    def pack(self, rows):
+        """The retained modes of full (..., M) coefficient rows."""
+        return rows[..., self.modes % self.geometry.grid_size]
+
+    def unpack(self, state):
+        """Full (..., M) coefficient rows of a state, zero outside the band."""
+        m = self.geometry.grid_size
+        rows = np.zeros(state.shape[:-1] + (m,), dtype=complex)
+        if self.real:
+            rows[..., -self.modes % m] = np.conj(state)
+        rows[..., self.modes % m] = state
+        return rows
+
+    def nonlinearity(self, state):
+        """Nhat on the retained modes; leading axes of the state batch."""
+        cube = cubic_coeffs(state, self._slots, self.n, self.geometry.period,
+                            conjugate_middle=not self.real, real=self.real)
+        return self._mult * cube[..., self._slots]
 
     def step(self, coeffs):
-        h = self.dt
         eh, ef = self.e_half, self.e_full
         k1 = self.nonlinearity(coeffs)
-        k2 = self.nonlinearity(eh * (coeffs + 0.5 * h * k1))
-        k3 = self.nonlinearity(eh * coeffs + 0.5 * h * k2)
-        k4 = self.nonlinearity(ef * coeffs + h * eh * k3)
-        return ef * coeffs + (h / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+        k2 = self.nonlinearity(eh * (coeffs + self._h2 * k1))
+        k3 = self.nonlinearity(eh * coeffs + self._h2 * k2)
+        k4 = self.nonlinearity(ef * coeffs + self._h_eh * k3)
+        return ef * coeffs + self._h6 * (ef * k1 + self._eh2 * (k2 + k3) + k4)
 
 
 def default_dt(problem):
@@ -150,15 +169,6 @@ def default_dt(problem):
     mask = np.abs(g.mvals) <= band
     omega_max = float(np.max(np.abs(problem.law.omega(g.xi[mask]))))
     return 0.5 / omega_max
-
-
-def step_nonlinear(state, dt, problem):
-    """One integrator step from an arbitrary in-band state."""
-    stepper = FlowIntegrator(problem, dt)
-    out = stepper.step(project_band(state, stepper.band).coeffs)
-    if not np.all(np.isfinite(out)):
-        raise IntegrationBlowupError(0)
-    return SpectralField(state.geometry, out, real=state.real)
 
 
 @dataclass(frozen=True)
@@ -176,35 +186,63 @@ class Trajectory:
         return len(self.times)
 
 
-def evolve(problem, t_final, dt=None, n_snapshots=2):
-    """Integrate from t=0 to t_final (either sign), storing uniform snapshots.
+def evolve_many(problems, t_finals, dt=None, n_snapshots=2):
+    """Integrate each problem from t=0 to its t_final, storing uniform
+    snapshots; returns one Trajectory per problem.
 
-    The initial data is projected to the dealiased band once; the band is
+    The problems share a geometry, law and sigma, and the t_finals one
+    magnitude with either sign, so every row takes the same number of steps
+    of the same |dt|; the rows advance together as one batched state.  The
+    initial data is projected to the dealiased band once; the band is
     invariant under the discrete flow.
     """
+    first = problems[0]
+    shared = (first.law, first.sigma, first.u0.geometry)
+    if any((p.law, p.sigma, p.u0.geometry) != shared for p in problems):
+        raise ValueError("batched problems must share geometry, law and sigma")
+    t_finals = np.asarray(t_finals, dtype=float)
+    if t_finals.shape != (len(problems),) or np.any(
+            np.abs(t_finals) != abs(t_finals[0])):
+        raise ValueError("expected one t_final per problem, of one magnitude")
     if dt is None:
-        dt = default_dt(problem)
-    dt = abs(float(dt)) * (1 if t_final >= 0 else -1)
+        dt = default_dt(first)
     n_snapshots = max(2, int(n_snapshots))
-    span = t_final / (n_snapshots - 1)
-    steps_per = max(1, int(round(abs(span) / abs(dt))))
-    dt = span / steps_per
-    stepper = FlowIntegrator(problem, dt)
-    u = project_band(problem.u0, stepper.band).coeffs
-    times = np.empty(n_snapshots)
-    states = np.empty((n_snapshots, u.shape[0]), dtype=complex)
-    times[0] = 0.0
-    states[0] = u
+    spans = t_finals / (n_snapshots - 1)
+    steps_per = max(1, int(round(abs(spans[0]) / abs(float(dt)))))
+    stepper = FlowIntegrator(first, spans / steps_per)
+    u = stepper.pack(np.stack([p.u0.coeffs for p in problems]))
+    snaps = np.empty((len(problems), n_snapshots, u.shape[1]), dtype=complex)
+    snaps[:, 0] = u
     count = 0
     for i in range(1, n_snapshots):
         for _ in range(steps_per):
             u = stepper.step(u)
             count += 1
-            if not np.all(np.isfinite(u)):
+            if not np.isfinite(u).all():
                 raise IntegrationBlowupError(count)
-        times[i] = i * span
-        states[i] = u
-    return Trajectory(problem, times, states)
+        snaps[:, i] = u
+    times = np.outer(spans, np.arange(n_snapshots))
+    times[:, 0] = 0.0  # not -0.0 on backward rows
+    return [Trajectory(p, t, stepper.unpack(rows))
+            for p, t, rows in zip(problems, times, snaps)]
+
+
+def evolve(problem, t_final, dt=None, n_snapshots=2):
+    """Integrate from t=0 to t_final (either sign), storing uniform snapshots
+    (``evolve_many`` for one problem)."""
+    return evolve_many([problem], [t_final], dt, n_snapshots)[0]
+
+
+def evolve_two_sided(problems, t_final, dt=None, n_snapshots=2):
+    """Trajectories over [-t_final, t_final] with n_snapshots per side: one
+    ``evolve_many`` batch runs each problem backward and forward, and each
+    pair is joined at t = 0."""
+    runs = evolve_many([p for p in problems for _ in (0, 1)],
+                       [-t_final, t_final] * len(problems), dt, n_snapshots)
+    return [Trajectory(bwd.problem,
+                       np.concatenate([bwd.times[::-1], fwd.times[1:]]),
+                       np.concatenate([bwd.states[::-1], fwd.states[1:]]))
+            for bwd, fwd in zip(runs[::2], runs[1::2])]
 
 
 def conserved_mass(u):

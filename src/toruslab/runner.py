@@ -592,24 +592,18 @@ def apriori_run(seed, s=0.3, size=0.05, m=256, t_final=1.0, count=10,
     g = sp.TorusGeometry(1.0, m)
     law = ev.BENJAMIN_ONO
     kmax = sp.max_block(g)
-    ratios, consts = [], []
-    for i in range(count):
+    problems = []
+    for _ in range(count):
         u0 = sp.random_field(g, rng, band=m // 8, real=True, decay=1.2)
-        u0 = u0 * (size / u0.l2_norm())
-        prob = ev.FlowProblem(law, +1, u0)
-        # snapshot spacing resolving the finest block window 2^-kmax
-        nsnap = int(t_final * 2.0**kmax * 12) + 1
-        fwd = ev.evolve(prob, t_final, n_snapshots=nsnap)
-        bwd = ev.evolve(prob, -t_final, n_snapshots=nsnap)
+        problems.append(ev.FlowProblem(law, +1, u0 * (size / u0.l2_norm())))
+    # snapshot spacing resolving the finest block window 2^-kmax
+    nsnap = int(t_final * 2.0**kmax * 12) + 1
+    ratios, consts = [], []
+    for traj in ev.evolve_two_sided(problems, t_final, n_snapshots=nsnap):
+        u0 = traj.problem.u0
         hs0 = sp.sobolev_norm(u0, s)
-        hsmax = max(
-            sp.sobolev_norm(fwd.field(j), s) for j in range(nsnap)
-        )
-        hsmax = max(hsmax, max(sp.sobolev_norm(bwd.field(j), s) for j in range(nsnap)))
+        hsmax = max(sp.sobolev_norm(traj.field(j), s) for j in range(len(traj)))
         ratios.append(hsmax / hs0)
-        times = np.concatenate([bwd.times[::-1], fwd.times[1:]])
-        states = np.concatenate([bwd.states[::-1], fwd.states[1:]], axis=0)
-        traj = ev.Trajectory(prob, times, states)
         field = st.from_trajectory(traj)
         e_norm = st.assembled_norm(field, s, "E", t_final, law=law)
         f_norm = st.assembled_norm(field, s - eps_tilde, "F", t_final, law=law,

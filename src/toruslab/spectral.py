@@ -19,8 +19,9 @@ band edge annihilated.
 Every lattice-to-grid synthesis in the package goes through ``synthesize``
 (coefficients scattered onto a zero-padded n-point grid, one inverse FFT),
 and every cubic product through ``cubic_coeffs`` (the cube of that synthesis,
-transformed back): the flow's nonlinearity on the 2M grid, the energies'
-cubic contractions on the 4M grid, and the free-solution grids.
+transformed back): the flow's nonlinearity on n >= 4 band + 1 points (a
+real FFT of the half spectrum for the real flow), the energies' cubic
+contractions on the 4M grid, and the free-solution grids.
 """
 
 from dataclasses import dataclass
@@ -185,22 +186,28 @@ def forward_transform(samples, geometry):
     return SpectralField(geometry, coeffs, real=is_real)
 
 
-def synthesize(coeffs, slots, n, period):
+def synthesize(coeffs, slots, n, period, real=False):
     """Samples on the n-point grid of the torus of circumference ``period``
     of the field whose coefficients (last axis; leading axes batch) sit at
-    grid slots ``slots``."""
-    a = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+    grid slots ``slots`` (an index array or a slice).  With ``real`` the
+    coefficients are the half spectrum (slots 0..n/2) of a real field, whose
+    samples are real."""
+    a = np.zeros(coeffs.shape[:-1] + (n // 2 + 1 if real else n,), dtype=complex)
     a.T[slots] = coeffs.T  # a[..., slots] = coeffs, minus its slow 1-D path
+    if real:
+        return np.fft.irfft(a, n, axis=-1) * (n / period)
     return np.fft.ifft(a, axis=-1) * n / period
 
 
-def cubic_coeffs(coeffs, slots, n, period, conjugate_middle):
+def cubic_coeffs(coeffs, slots, n, period, conjugate_middle=False, real=False):
     """All n grid coefficients of u^3 (or u conj(u) u) for the field
-    synthesized by ``synthesize``.  With the data in |m| <= band, the slot of
-    mode m is alias-free, hence exact, when |m| < n - 3 * band."""
-    u = synthesize(coeffs, slots, n, period)
-    cube = (u * np.conj(u) * u) if conjugate_middle else u**3
-    return np.fft.fft(cube) * (period / n)
+    synthesized by ``synthesize``; with ``real`` the half spectrum 0..n/2 of
+    the real cube.  With the data in |m| <= band, the slot of mode m is
+    alias-free, hence exact, when |m| < n - 3 * band."""
+    u = synthesize(coeffs, slots, n, period, real)
+    mid = np.conj(u) if conjugate_middle else u
+    forward = np.fft.rfft if real else np.fft.fft
+    return forward(u * mid * u) * (period / n)
 
 
 def inverse_transform(f, oversample=1):

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from toruslab import bumps, energy
+from toruslab import bumps, energy, evolution
 
 
 def eta_j(tau, j):
@@ -44,3 +44,84 @@ def r6_scalar_loop(sym, u, law, band):
     b4 = energy.b4_multiplier(sym, np.array(xis).T, law)
     total = np.sum(b4 * np.array(factors))
     return float((lam ** (-5) * energy.TWO_PI_SQ_INV * total).real)
+
+
+def _padded_cube(coeffs, slots, n, period, conjugate_middle):
+    """All n grid coefficients of u^3 (or u conj(u) u) on the complex n-point
+    grid (the cubic product the serial stepper was built on)."""
+    a = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+    a.T[slots] = coeffs.T
+    u = np.fft.ifft(a, axis=-1) * n / period
+    cube = (u * np.conj(u) * u) if conjugate_middle else u**3
+    return np.fft.fft(cube) * (period / n)
+
+
+class SerialFlowIntegrator:
+    """Integrating-factor RK4 stepper for one FlowProblem at fixed dt, on full
+    coefficient rows with the cube on the complex 2M grid (the reference for
+    the batched evolution.FlowIntegrator)."""
+
+    def __init__(self, problem, dt):
+        self.problem = problem
+        g = problem.u0.geometry
+        self.geometry = g
+        self.band = evolution.dealias_band(g)
+        self.band_mask = np.abs(g.mvals) <= self.band
+        self._npad = 2 * g.grid_size
+        self._slots = g.mvals % self._npad  # the M modes on the padded grid
+        xi = g.xi
+        omega = problem.law.omega(xi)
+        omega_max = float(np.max(np.abs(omega[self.band_mask])))
+        if abs(dt) * omega_max > 4.0:
+            raise ValueError(
+                f"dt * max|omega| = {abs(dt) * omega_max:.3g} exceeds the "
+                "documented accuracy regime (<= 4)"
+            )
+        self.dt = float(dt)
+        self.e_full = np.exp(1j * self.dt * omega)
+        self.e_half = np.exp(1j * 0.5 * self.dt * omega)
+        if problem.law.tag == "benjamin_ono":
+            self._mult = problem.sigma * (1j * xi) / 3.0
+            self._conj_mid = False
+        else:
+            self._mult = problem.sigma * (1j * xi)
+            self._conj_mid = True
+
+    def nonlinearity(self, coeffs):
+        chat = _padded_cube(coeffs, self._slots, self._npad,
+                            self.geometry.period, self._conj_mid)[self._slots]
+        return np.where(self.band_mask, self._mult * chat, 0.0)
+
+    def step(self, coeffs):
+        h = self.dt
+        eh, ef = self.e_half, self.e_full
+        k1 = self.nonlinearity(coeffs)
+        k2 = self.nonlinearity(eh * (coeffs + 0.5 * h * k1))
+        k3 = self.nonlinearity(eh * coeffs + 0.5 * h * k2)
+        k4 = self.nonlinearity(ef * coeffs + h * eh * k3)
+        return ef * coeffs + (h / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+
+
+def serial_evolve(problem, t_final, dt=None, n_snapshots=2):
+    """Snapshot times and (n_times, M) coefficient rows of one problem,
+    integrated step by step with SerialFlowIntegrator."""
+    if dt is None:
+        dt = evolution.default_dt(problem)
+    dt = abs(float(dt)) * (1 if t_final >= 0 else -1)
+    n_snapshots = max(2, int(n_snapshots))
+    span = t_final / (n_snapshots - 1)
+    steps_per = max(1, int(round(abs(span) / abs(dt))))
+    dt = span / steps_per
+    stepper = SerialFlowIntegrator(problem, dt)
+    mask = stepper.band_mask
+    u = np.where(mask, problem.u0.coeffs, 0.0)
+    times = np.empty(n_snapshots)
+    states = np.empty((n_snapshots, u.shape[0]), dtype=complex)
+    times[0] = 0.0
+    states[0] = u
+    for i in range(1, n_snapshots):
+        for _ in range(steps_per):
+            u = stepper.step(u)
+        times[i] = i * span
+        states[i] = u
+    return times, states

@@ -4,6 +4,8 @@ import pytest
 from toruslab import evolution as ev
 from toruslab import spectral as sp
 
+from oracles import serial_evolve
+
 
 def small_data(m=64, band=15, amp=0.3, seed=0, real=True, decay=1.0):
     rng = np.random.default_rng(seed)
@@ -37,8 +39,9 @@ def test_flow_problem_rejects_complex_real_flow():
 
 
 def test_nonlinearity_matches_geometry_scatter():
-    """The stepper's precomputed padded-grid slots give the cubic product
-    bit for bit as when the slots are rebuilt from the geometry."""
+    """The stepper's cube on n >= 4 band + 1 points (a real FFT of the half
+    spectrum for the real flow) agrees within 1e-15 with the cube on the
+    complex 2M grid scattered from the geometry, on every mode."""
     for law, real in ((ev.BENJAMIN_ONO, True), (ev.SCHROEDINGER, False)):
         u = small_data(real=real)
         stepper = ev.FlowIntegrator(ev.FlowProblem(law, +1, u), 1e-3)
@@ -49,16 +52,78 @@ def test_nonlinearity_matches_geometry_scatter():
         w = np.fft.ifft(padded) * npad / g.period
         cube = w * np.conj(w) * w if law is ev.SCHROEDINGER else w**3
         chat = (np.fft.fft(cube) * (g.period / npad))[g.mvals % npad]
-        expected = np.where(stepper.band_mask, stepper._mult * chat, 0.0)
-        assert np.array_equal(stepper.nonlinearity(u.coeffs), expected)
+        in_band = np.abs(g.mvals) <= ev.dealias_band(g)
+        mult = (1j * g.xi) / (3.0 if real else 1.0)
+        expected = np.where(in_band, mult * chat, 0.0)
+        got = stepper.unpack(stepper.nonlinearity(stepper.pack(u.coeffs)))
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 def test_zero_data_stays_zero():
     g = sp.TorusGeometry(1.0, 64)
     z = sp.SpectralField(g, np.zeros(64), real=True)
     prob = ev.FlowProblem(ev.BENJAMIN_ONO, +1, z)
-    out = ev.step_nonlinear(z, ev.default_dt(prob), prob)
-    assert np.max(np.abs(out.coeffs)) == 0.0
+    out = ev.evolve(prob, ev.default_dt(prob)).states[-1]
+    assert np.max(np.abs(out)) == 0.0
+
+
+@pytest.mark.parametrize("law,sigma,real", [
+    (ev.BENJAMIN_ONO, +1, True),
+    (ev.BENJAMIN_ONO, -1, True),
+    (ev.SCHROEDINGER, +1, False),
+])
+def test_evolve_many_matches_serial_oracle(law, sigma, real):
+    """A batch of one and a batch of four with mixed time directions agree
+    with the serial complex 2M-grid stepper within 1e-12 relative on every
+    snapshot, and each row of the batch equals its own evolve call exactly."""
+    problems = [ev.FlowProblem(law, sigma, small_data(real=real, seed=k))
+                for k in range(4)]
+    t_final, nsnap = 0.3, 5
+    for batch, signs in ((problems[:1], [1]), (problems, [1, -1, -1, 1])):
+        t_finals = [sign * t_final for sign in signs]
+        trajs = ev.evolve_many(batch, t_finals, n_snapshots=nsnap)
+        assert len(trajs) == len(batch)
+        for prob, t, traj in zip(batch, t_finals, trajs):
+            assert traj.problem is prob
+            times, states = serial_evolve(prob, t, n_snapshots=nsnap)
+            assert np.array_equal(traj.times, times)
+            for got, want in zip(traj.states, states):
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            single = ev.evolve(prob, t, n_snapshots=nsnap)
+            assert np.array_equal(single.times, traj.times)
+            assert np.array_equal(single.states, traj.states)
+
+
+def test_evolve_many_rejects_mixed_batches():
+    u = small_data()
+    bo = ev.FlowProblem(ev.BENJAMIN_ONO, +1, u)
+    for other in (ev.FlowProblem(ev.BENJAMIN_ONO, -1, u),
+                  ev.FlowProblem(ev.SCHROEDINGER, +1, u),
+                  ev.FlowProblem(ev.BENJAMIN_ONO, +1, small_data(m=32, band=8))):
+        with pytest.raises(ValueError):
+            ev.evolve_many([bo, other], [0.1, 0.1])
+    with pytest.raises(ValueError):
+        ev.evolve_many([bo, bo], [0.1, 0.2])
+    with pytest.raises(ValueError):
+        ev.evolve_many([bo, bo], [0.1])
+
+
+def test_evolve_two_sided_joins_at_zero():
+    """Each two-sided trajectory is its backward run reversed, then its
+    forward run after t = 0."""
+    problems = [ev.FlowProblem(ev.BENJAMIN_ONO, +1, small_data(seed=k))
+                for k in range(2)]
+    nsnap = 4
+    for prob, traj in zip(problems, ev.evolve_two_sided(problems, 0.1,
+                                                        n_snapshots=nsnap)):
+        bwd = ev.evolve(prob, -0.1, n_snapshots=nsnap)
+        fwd = ev.evolve(prob, 0.1, n_snapshots=nsnap)
+        assert traj.problem is prob and len(traj) == 2 * nsnap - 1
+        assert np.array_equal(traj.times, np.concatenate([bwd.times[::-1], fwd.times[1:]]))
+        assert np.array_equal(traj.states[:nsnap], bwd.states[::-1])
+        assert np.array_equal(traj.states[nsnap:], fwd.states[1:])
+        assert np.all(np.diff(traj.times) > 0) and traj.times[nsnap - 1] == 0.0
 
 
 def test_conserved_quantities_closed_forms():
