@@ -70,6 +70,7 @@ from .energy import (
     e0_time_derivative,
     e1_correction,
     envelope_axioms,
+    gamma4_table,
     q_smooth,
     r4_form,
     r6_enumerated,

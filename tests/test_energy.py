@@ -369,6 +369,117 @@ def test_cancellation_flat_symbol_reduces_to_mass(sym):
     assert rep["residual_r6"] < 1e-9 * e0
 
 
+def test_cancellation_check_rejects_nonuniform_times(sym):
+    g = sp.TorusGeometry(1.0, 32)
+    u0 = sp.random_field(g, np.random.default_rng(19), band=8, real=True) * 0.1
+    traj = ev.evolve(ev.FlowProblem(BO, +1, u0), 0.1, n_snapshots=6)
+    times = np.array([0.0, 0.004, 0.016, 0.036, 0.064, 0.1])
+    with pytest.raises(ValueError, match="uniform"):
+        en.cancellation_check(ev.Trajectory(traj.problem, times, traj.states),
+                              sym)
+
+
+# ---------------------------------------------------------------------------
+# Gamma4 multiplier tables
+
+
+def _rel(a, b):
+    return abs(a - b) / max(abs(b), 1e-300)
+
+
+def test_gamma4_tables_match_streamed_forms(sym):
+    """Contracting a stored table agrees with the chunk-by-chunk evaluation,
+    on both laws, for a table over the field's own band and one wider."""
+    for lam in (1.0, 2.0):
+        for real, law in ((True, BO), (False, NLS)):
+            u = rand_field(m=32, band=5, real=real, amp=0.5, seed=40, lam=lam)
+            for tband in (10, 13):   # 10 = the r6 band of this field
+                b4 = en.gamma4_table("b4", sym, law, tband, lam)
+                q = en.gamma4_table("q", sym, law, tband, lam)
+                assert _rel(en.e1_correction(sym, u, law, table=b4),
+                            en.e1_correction(sym, u, law)) <= 1e-12
+                assert _rel(en.r4_form(sym, u, law, -1, table=q),
+                            en.r4_form(sym, u, law, -1)) <= 1e-12
+                assert _rel(en.r6_form(sym, u, law, table=b4),
+                            en.r6_form(sym, u, law)) <= 1e-12
+                assert _rel(en.e1_correction(sym, u, law, band=3, table=b4),
+                            en.e1_correction(sym, u, law, band=3)) <= 1e-12
+
+
+def test_gamma4_table_must_fit(sym):
+    u = rand_field(m=32, band=8, amp=0.5, seed=41)
+    b4 = en.gamma4_table("b4", sym, BO, 10, 1.0)
+    misfits = [
+        lambda: en.e1_correction(sym, u, BO, band=12, table=b4),
+        lambda: en.r6_form(sym, u, BO,
+                           table=en.gamma4_table("b4", sym, BO, 8, 1.0)),
+        lambda: en.e1_correction(sym, u, BO,
+                                 table=en.gamma4_table("b4", sym, BO, 10, 2.0)),
+        lambda: en.e1_correction(sym, u, BO,
+                                 table=en.gamma4_table("b4", sym, NLS, 10, 1.0)),
+        lambda: en.r4_form(sym, u, BO, 1, table=b4),
+        lambda: en.e1_correction(en.DyadicSymbol.from_exponent(0.5), u, BO,
+                                 table=b4),
+    ]
+    for call in misfits:
+        with pytest.raises(ValueError, match="does not fit"):
+            call()
+    with pytest.raises(ValueError):
+        en.gamma4_table("r6", sym, BO, 4, 1.0)
+
+
+def test_b4_finite_on_every_gamma4_tuple(sym):
+    """Tables evaluate b4 on every tuple, including the resonant ones and
+    the zero frequency, so it must be finite on all of them."""
+    for law in (BO, NLS):
+        for band in range(1, 13):
+            for lam in (1.0, 2.0):
+                table = en.gamma4_table("b4", sym, law, band, lam)
+                vals = np.concatenate(table.values)
+                assert vals.size == en.GridSimplex(4, band, lam).count()
+                assert np.all(np.isfinite(vals))
+
+
+def _cancellation_trajectory(law, nsnap=9):
+    g = sp.TorusGeometry(1.0, 32)
+    u0 = sp.random_field(g, np.random.default_rng(42), band=7, real=law.odd,
+                         decay=2.0) * 0.4
+    prob = ev.FlowProblem(law, -1, u0)
+    return ev.evolve(prob, 0.05, dt=0.05 / (nsnap - 1) / 4, n_snapshots=nsnap)
+
+
+def test_cancellation_series_match_standalone_forms(sym):
+    for law in (BO, NLS):
+        traj = _cancellation_trajectory(law)
+        band = 9
+        times, e0s, e1s, r4s, r6s = en.cancellation_check(
+            traj, sym, band=band)["series"]
+        for i in range(len(traj)):
+            u = traj.field(i)
+            assert e0s[i] == en.e0_energy(sym, u, law)
+            assert _rel(e1s[i], en.e1_correction(sym, u, law)) <= 1e-12
+            assert _rel(r4s[i], en.r4_form(sym, u, law, -1)) <= 1e-12
+            assert _rel(r6s[i], en.r6_form(sym, u, law, band=band)) <= 1e-12
+
+
+def test_cancellation_evaluates_b4_once_per_chunk(sym, monkeypatch):
+    """Cost guard: one cancellation check evaluates b4 once per chunk of its
+    band B (2B + 1 chunks), whatever the number of snapshots."""
+    calls = []
+    original = en.b4_multiplier
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(en, "b4_multiplier", counted)
+    band = ev.dealias_band(sp.TorusGeometry(1.0, 32))
+    for nsnap in (5, 17):
+        calls.clear()
+        en.cancellation_check(_cancellation_trajectory(BO, nsnap), sym)
+        assert 0 < len(calls) <= 2 * band + 1
+
+
 def test_grid_simplex_d6_count():
     simplex = en.GridSimplex(6, 2, 1.0)
     rng = range(-2, 3)

@@ -269,3 +269,19 @@ def test_conservation_drifts_match_five_snapshot_recipe():
     )
     got = rn.conservation(seed=7, grid_size=256).measurements
     assert (got["mass_drift"], got["energy_drift"]) == expected
+
+
+def test_sobolev_sup_matches_per_snapshot_norms():
+    """Criterion 10's H^s sup over a two-sided trajectory, taken as one
+    weighted row norm, equals the sup of sobolev_norm over the snapshots."""
+    from toruslab import evolution as ev
+    from toruslab import spectral as sp
+
+    g = sp.TorusGeometry(1.0, 64)
+    u0 = sp.random_field(g, np.random.default_rng(3), band=8, real=True,
+                         decay=1.2) * 0.05
+    (traj,) = ev.evolve_two_sided([ev.FlowProblem(ev.BENJAMIN_ONO, +1, u0)],
+                                  0.5, n_snapshots=33)
+    for s in (0.3, 0.75):
+        loop = max(sp.sobolev_norm(traj.field(j), s) for j in range(len(traj)))
+        assert rn._sobolev_sup(traj, s) == loop
