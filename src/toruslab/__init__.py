@@ -97,7 +97,6 @@ from .estimates import (
 from .runner import (
     emit_report,
     load_config,
-    read_reports_csv,
     run_scenario,
     validate_config,
     write_energy_series_csv,

@@ -1,10 +1,6 @@
 """Command line entry point: run / validate configs, list scenarios.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 config error.
-The environment variable TORUSLAB_THREADS overrides the worker count of the
-ensemble loop shared by the five dispersive estimate families (Strichartz,
-bilinear, maximal, smoothing, modulation L4); results are bit-identical for
-any count, and peak memory grows with it.
 """
 
 import argparse

@@ -201,42 +201,6 @@ def build_symbol(envelope, k0, s, eps):
     return DyadicSymbol.from_blocks(log2_vals, s, eps)
 
 
-def check_slowly_varying(sym, rng, xi_max, n=512):
-    """Max ratio a(xi)/a(xi') over comparable pairs xi' in [xi/2, 2 xi]."""
-    xi = np.exp(rng.uniform(0.0, np.log(xi_max), n))
-    fac = 2.0 ** rng.uniform(-1.0, 1.0, n)
-    r = sym(xi) / sym(xi * fac)
-    return float(np.max(np.maximum(r, 1.0 / r)))
-
-
-def check_derivative_bounds(sym, rng, xi_max, n=512):
-    """Finite-difference constants C_alpha with
-    |d^alpha a| <= C a(xi) <xi>^-alpha, alpha = 1, 2."""
-    xi = np.exp(rng.uniform(0.0, np.log(xi_max), n))
-    br = np.sqrt(1.0 + xi**2)
-    h = 1e-3 * br
-    d1 = (sym(xi + h) - sym(xi - h)) / (2.0 * h)
-    d2 = (sym(xi + h) - 2.0 * sym(xi) + sym(xi - h)) / h**2
-    a = sym(xi)
-    c1 = float(np.max(np.abs(d1) * br / a))
-    c2 = float(np.max(np.abs(d2) * br**2 / a))
-    return c1, c2
-
-
-def check_growth_window(sym, xi_max, n=256):
-    """Max deviation of log a / log(1 + xi^2) from [s - eps, s + eps] on
-    |xi| >= 4, net of the table's own multiplicative headroom."""
-    xi = np.exp(np.linspace(np.log(4.0), np.log(xi_max), n))
-    ratio = np.log(sym(xi)) / np.log(1.0 + xi**2)
-    headroom = 0.0
-    if sym.table is not None:
-        k = np.arange(sym.table.size)
-        headroom = float(np.max(np.abs(sym.table - 2.0 * sym.s * k)))
-    allowance = sym.eps + headroom / np.log2(1.0 + xi**2)
-    over = np.maximum(ratio - (sym.s + allowance), (sym.s - allowance) - ratio)
-    return float(np.max(over))
-
-
 # ---------------------------------------------------------------------------
 # correction multiplier
 

@@ -5,14 +5,15 @@ Every measurement returns an EstimateReport holding per-configuration max and
 mean left/right ratios, the least-squares slope of log2(max ratio) against
 the sweep coordinate, and a verdict comparing the slope to its prediction.
 Reports are pure functions of (seed, configuration): samples are drawn from
-per-index generators, so enlarging an ensemble extends it and parallel or
-serial evaluation orders agree bit for bit.  The five dispersive families
-share one loop, _family_report, which skips a member exactly when its ratio
-is not finite and positive (an empty one-sided projection or a zero
-denominator gives nan) and counts each skip once, as trilinear_ratio does.
+per-index generators, so enlarging an ensemble extends it.  The five
+dispersive families share one loop, _family_report, which skips a member
+exactly when its ratio is not finite and positive (a zero denominator gives
+nan) and counts each skip once, as trilinear_ratio does.
 
-The time grid of a family oversamples the intra-block phase spread, and its
-spatial grid of nx points (_block_nx) has 4x headroom over the data band.
+The time grid of a family takes sixteen points per 2 pi of the intra-block
+phase spread, and its spatial grid of nx = next_pow2(4 mmax + 8) points
+(_block_nx, mmax the top mode of the data) has at least 4x headroom over the
+data band; for block data at dyadic lam, nx = 8 (mmax + 1).
 The Strichartz and maximal families evaluate free solutions on that
 space-time grid (quadratures of |u|^p are then exact up to rounding).  The
 local smoothing and bilinear families never form it: the bands of |u|^2 and
@@ -36,7 +37,6 @@ evaluates the unmodulated constants when it is built and a modulated one
 when asked, and no state is shared between configurations.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,23 +46,6 @@ from .evolution import BENJAMIN_ONO, SCHROEDINGER, free_rows
 from .spacetime import CHUNK_BYTES
 from .spectral import (SpectralField, TorusGeometry, block_indicator,
                        random_field, synthesize)
-
-
-def parallel_map(fn, items):
-    """Map over ensemble items, threaded when TORUSLAB_THREADS > 1; results
-    are returned in input order so reductions agree bit for bit with the
-    serial run."""
-    try:
-        n = max(1, int(os.environ.get("TORUSLAB_THREADS", "1")))
-    except ValueError:
-        n = 1
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def sample_rng(seed, index):
@@ -149,36 +132,22 @@ def block_sample(seed, i, n, lam):
     return random_field(_block_geometry(n, lam), sample_rng(seed, i), block=n)
 
 
-def flat_block_data(n, lam=1.0, positive_only=False):
+def flat_block_data(n, lam=1.0):
     """Unit-L2 data with constant coefficients on the block: the coherent
     (Dirichlet-kernel) candidate that saturates sup-type constants which
     Gaussian bulk samples systematically underestimate."""
     g = _block_geometry(n, lam)
-    mask = block_indicator(g.xi, n)
-    if positive_only:
-        mask &= g.mvals > 0
-    u = SpectralField(g, np.where(mask, 1.0 + 0.0j, 0.0))
+    u = SpectralField(g, np.where(block_indicator(g.xi, n), 1.0 + 0.0j, 0.0))
     return u * (1.0 / u.l2_norm())
 
 
-def _block_members(seed, count, n, lam, coherent, positive_only=False):
+def _block_members(seed, count, n, lam, coherent):
     """Members 0..count-1 of the Gaussian family on block n, then (if
     ``coherent``) the flat candidate."""
     members = [block_sample(seed, i, n, lam) for i in range(count)]
     if coherent:
-        members.append(flat_block_data(n, lam, positive_only=positive_only))
+        members.append(flat_block_data(n, lam))
     return members
-
-
-def _one_sided(u0, sign):
-    """Unit-L2 projection of u0 onto the modes m with sign * m > 0, or None
-    when that side is empty."""
-    g = u0.geometry
-    u = SpectralField(g, np.where(sign * g.mvals > 0, u0.coeffs, 0.0))
-    norm = u.l2_norm()
-    if norm == 0.0:
-        return None
-    return u * (1.0 / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +193,10 @@ def _lp_x(vals, lam, p):
     return (dx * np.sum(np.abs(vals) ** p, axis=-1)) ** (1.0 / p)
 
 
-def _time_grid(n, interval_factor=1.0):
-    """Grid over [0, interval_factor * 2^-n], at least 65 points and four per
-    2 pi of the intra-block phase spread of block n (Schroedinger scale)."""
-    delta = interval_factor * 2.0**-n
+def _time_grid(n):
+    """Grid over [0, 2^-n]: at least 65 points, and sixteen per 2 pi of
+    block n's intra-block phase spread 3 * 4^n (Schroedinger scale)."""
+    delta = 2.0**-n
     spread = 3.0 * 4.0 ** (n + 1)
     nt = max(65, int(4 * spread * delta / (2.0 * np.pi)) + 2)
     return np.linspace(0.0, delta, nt)
@@ -252,14 +221,14 @@ def _ensemble_ratios(values):
 
 def _family_report(name, sweep, lam, block, slope_tol):
     """The loop of every dispersive family: ``block(x)`` returns the members
-    at sweep value x and the ratio of one member; the ratios come from
-    parallel_map.  A member whose ratio is not finite and positive is
-    skipped; the report counts each skipped member once."""
+    at sweep value x and the ratio of one member.  A member whose ratio is
+    not finite and positive is skipped; the report counts each skipped
+    member once."""
     points = []
     skipped = 0
     for x in sweep:
         members, ratio = block(x)
-        mx, mean, kept = _ensemble_ratios(parallel_map(ratio, members))
+        mx, mean, kept = _ensemble_ratios([ratio(m) for m in members])
         skipped += len(members) - kept
         points.append(RatioPoint(float(x), lam, mx, mean))
     return make_report(name, points, 0.0, slope_tol, skipped=skipped)
@@ -269,14 +238,16 @@ def _family_report(name, sweep, lam, block, slope_tol):
 # linear estimates
 
 
-def l4_modulation_ratio(j_values, block=3, lam=1.0, seed=0, count=32,
-                        law=SCHROEDINGER, slope_tol=0.1, include_coherent=True):
-    """L4 space-time bound for fields with modulation support below 2^j:
-    ratio ||u||_L4 / (2^(3j/8) ||u||_L2) on the 2 pi time-periodized grid.
+def l4_modulation_ratio(j_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
+                        slope_tol=0.1, include_coherent=True):
+    """L4 space-time bound for fields on block 3 with modulation support
+    below 2^j: ratio ||u||_L4 / (2^(3j/8) ||u||_L2) on the 2 pi
+    time-periodized grid.
 
     Gaussian modulation profiles plus (by default) a curvature-matched box
     sample of frequency width 2^(j/2), which realizes the 3j/8 growth.
     """
+    block = 3
     g = TorusGeometry(lam, bumps.next_pow2(int(16 * 2 ** (block + 1) * lam)))
     mv = g.mvals
     sel = block_indicator(g.xi, block) & (np.abs(mv) > 0)
@@ -358,13 +329,10 @@ def strichartz_ratio(q, p, n_values, lam=1.0, seed=0, count=32,
 
 
 def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
-                   separated=False, law=SCHROEDINGER, slope_tol=0.15,
-                   include_coherent=True):
+                   law=SCHROEDINGER, slope_tol=0.15, include_coherent=True):
     """Bilinear shorttime bound: ||e^{itd_xx}u0 e^{itd_xx}v0||_{L2 L2} over
-    [0, 2^-n] against 2^(-n/2) ||u0|| ||v0||; predicted slope -1/2.
-
-    Requires n - k >= 4, or ``separated`` data (both factors at scale 2^n
-    with opposite-sign supports, separation >= 2^n).
+    [0, 2^-n] against 2^(-n/2) ||u0|| ||v0||, for u0 on block n and v0 on
+    block k with n - k >= 4; predicted slope -1/2.
 
     No space-time grid is formed: at each time the squared L2_x norm of the
     product is the lattice sum of its squared coefficients over period^3
@@ -374,19 +342,16 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
     one shift per mode of the other; ``conjugated`` negates the second
     factor's modes and conjugates its rows.
     """
-    if not separated and any(n - k < 4 for n in n_values):
-        raise ValueError("blocks must satisfy n - k >= 4 (or use separation)")
+    if any(n - k < 4 for n in n_values):
+        raise ValueError("blocks must satisfy n - k >= 4")
 
     def members_at(n):
-        kv = n if separated else k
         times = _time_grid(n)
         pairs = list(zip(
             _block_members(seed, count, n, lam, include_coherent),
-            _block_members(seed + 104729, count, kv, lam, include_coherent),
+            _block_members(seed + 104729, count, k, lam, include_coherent),
         ))
-        umodes, vslots = _block_lattice(n, lam), _block_lattice(kv, lam)
-        if separated:  # one-sided supports with distance >= 2 * 2^n
-            umodes, vslots = umodes[umodes > 0], vslots[vslots < 0]
+        umodes, vslots = _block_lattice(n, lam), _block_lattice(k, lam)
         uphase = free_rows(1.0, umodes / lam, times, law)
         vphase = free_rows(1.0, vslots / lam, times, law)
         vmodes = vslots
@@ -397,10 +362,6 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
 
         def ratio(pair):
             u0, v0 = pair
-            if separated:
-                u0, v0 = _one_sided(u0, 1), _one_sided(v0, -1)
-                if u0 is None or v0 is None:
-                    return np.nan
             cv = v0.coeffs[vslots % v0.geometry.grid_size]
             prod = _product_rows(
                 umodes, u0.coeffs[umodes % u0.geometry.grid_size] * uphase,
@@ -417,8 +378,6 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
 
     # after dividing by 2^(-n/2) the predicted residual slope is zero
     name = "bilinear_conj" if conjugated else "bilinear"
-    if separated:
-        name += "_separated"
     return _family_report(name, n_values, lam, members_at, slope_tol)
 
 
@@ -429,13 +388,13 @@ def _maximal_norm(u0, law, times):
 
 
 def maximal_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
-                  slope_tol=0.15, interval_factor=1.0, include_coherent=True):
+                  slope_tol=0.15, include_coherent=True):
     """Maximal function bound ||u||_{L4_x Linf_t([0, 2^-n])} against
     N^(1/4) ||u0||; predicted residual slope 0 after normalization (the raw
     ratio then grows at the predicted quarter power)."""
 
     def members_at(n):
-        times = _time_grid(n, interval_factor)
+        times = _time_grid(n)
 
         def ratio(u0):
             return _maximal_norm(u0, law, times) / (2.0 ** (n / 4.0) * u0.l2_norm())
@@ -446,8 +405,7 @@ def maximal_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
 
 
 def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
-                    slope_tol=0.1, positive_only=False, log_normalized=False,
-                    include_coherent=True):
+                    slope_tol=0.1, log_normalized=False, include_coherent=True):
     """Local smoothing bound ||u||_{Linf_x L2_t([0, 2^-n])}.
 
     With log_normalized=False the ratio is taken against the sharp scale
@@ -471,8 +429,6 @@ def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
         if log_normalized:
             norm *= max(float(n), 1.0)
         modes = _block_lattice(n, lam)
-        if positive_only:
-            modes = modes[modes > 0]
         phases = free_rows(1.0, modes / lam, times, law)
         half = 0.5 * np.diff(times)  # trapezoid weights w_t
         weights = np.r_[half, 0.0] + np.r_[0.0, half]
@@ -480,10 +436,6 @@ def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
         diff = (modes[:, None] - modes[None, :]).ravel()
 
         def ratio(u0):
-            if positive_only:
-                u0 = _one_sided(u0, 1)
-                if u0 is None:
-                    return np.nan
             g = u0.geometry
             c = u0.coeffs[modes % g.grid_size]
             pair = (c[:, None] * gram * np.conj(c)).ravel()
@@ -494,13 +446,9 @@ def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
             energy = np.fft.ifft(band).real * (nx / g.period**2)  # T(x)
             return float(np.sqrt(np.max(energy))) / (norm * u0.l2_norm())
 
-        members = _block_members(seed, count, n, lam, include_coherent,
-                                 positive_only=positive_only)
-        return members, ratio
+        return _block_members(seed, count, n, lam, include_coherent), ratio
 
-    name = "smoothing_pos" if positive_only else "smoothing"
-    if log_normalized:
-        name += "_log"
+    name = "smoothing_log" if log_normalized else "smoothing"
     return _family_report(name, n_values, lam, members_at, slope_tol)
 
 

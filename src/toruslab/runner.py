@@ -187,38 +187,6 @@ def write_energy_series_csv(report, path):
                       [map(fmt, row) for row in energy_series_rows(report)])
 
 
-def read_reports_csv(path):
-    """Parse an emitted CSV back into per-estimate point sets and recompute
-    verdict-relevant statistics (round-trip check support)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError("unexpected CSV header")
-    groups = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        eid = parts[0]
-        groups.setdefault(eid, []).append(parts)
-    out = {}
-    for eid, rows in groups.items():
-        pts = [
-            es.RatioPoint(
-                float(np.log2(float(r[1]))), float(r[2]), float(r[3]), float(r[4])
-            )
-            for r in rows
-        ]
-        slope = float(rows[0][5])
-        residual = float(rows[0][6])
-        verdict = rows[0][7] == "True"
-        out[eid] = {
-            "points": pts,
-            "slope": slope,
-            "residual": residual,
-            "verdict": verdict,
-        }
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the ten acceptance criteria
 
@@ -667,8 +635,8 @@ def load_config(path):
 
 def _parse_value(where, default, raw):
     """Convert ``raw`` to the type of ``default``.  A tuple default is a
-    comma- or space-separated list; a tuple of strings lists every allowed
-    entry."""
+    comma- or space-separated list without repeated entries; a tuple of
+    strings lists every allowed entry."""
     if not isinstance(default, tuple):
         conv, items = type(default), [raw]
     else:
@@ -686,6 +654,9 @@ def _parse_value(where, default, raw):
         values = tuple(conv(x) for x in items)
     except ValueError as exc:
         raise ConfigError(f"bad value for {where}: {raw!r}") from exc
+    repeated = [x for i, x in enumerate(values) if x in values[:i]]
+    if repeated:
+        raise ConfigError(f"{where} repeats entry {repeated[0]!r}")
     return values if isinstance(default, tuple) else values[0]
 
 
@@ -710,8 +681,9 @@ def _parse_section(cfg, section, defaults):
 def parse_config(cfg):
     """Return (scenario, seed, output_dir, keyword parameters).  The keys of
     the scenario's section are the keyword parameters of its criterion
-    function, typed by their defaults.  A seed must be at least 0 and every
-    other integer at least 1; anything else raises ConfigError naming the
+    function, typed by their defaults.  A seed must be at least 0, every
+    other integer at least 1, s above 1/4 and every t_final and size
+    positive, all finite; anything else raises ConfigError naming the
     offending field."""
     if not cfg.has_section("run"):
         raise ConfigError("missing section [run]")
@@ -731,8 +703,10 @@ def parse_config(cfg):
         if key != "seed"
     }
     params = _parse_section(cfg, name, defaults) if cfg.has_section(name) else {}
-    if params.get("s", 1.0) <= 0.25:
-        raise ConfigError(f"{name}.s must exceed 1/4, got {params['s']}")
+    for key, low in (("s", 0.25), ("t_final", 0.0), ("size", 0.0)):
+        if not low < params.get(key, 1.0) < np.inf:  # nan fails too
+            raise ConfigError(
+                f"{name}.{key} must lie in ({low}, inf), got {params[key]}")
     # every grid size and scale must describe a torus the criterion can build
     tori = [("lambdas", lam, 4) for lam in params.get("lambdas", ())]
     if "grid_size" in params:

@@ -103,15 +103,6 @@ class SpaceTimeField:
     def active_columns(self):
         return np.any(self.values != 0.0, axis=0)
 
-    def snapshot_l2(self, i):
-        """L2(torus) norm of the spatial trace at time index i."""
-        return float(
-            np.sqrt(
-                np.sum(np.abs(self.values[i]) ** 2)
-                / (2.0 * np.pi * self.geometry.lam)
-            )
-        )
-
 
 def from_trajectory(traj):
     """Wrap an evolution trajectory (states in fft coefficient order)."""

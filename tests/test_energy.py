@@ -12,6 +12,42 @@ BO = ev.BENJAMIN_ONO
 NLS = ev.SCHROEDINGER
 
 
+def check_slowly_varying(sym, rng, xi_max, n=512):
+    """Max ratio a(xi)/a(xi') over comparable pairs xi' in [xi/2, 2 xi]."""
+    xi = np.exp(rng.uniform(0.0, np.log(xi_max), n))
+    fac = 2.0 ** rng.uniform(-1.0, 1.0, n)
+    r = sym(xi) / sym(xi * fac)
+    return float(np.max(np.maximum(r, 1.0 / r)))
+
+
+def check_derivative_bounds(sym, rng, xi_max, n=512):
+    """Finite-difference constants C_alpha with
+    |d^alpha a| <= C a(xi) <xi>^-alpha, alpha = 1, 2."""
+    xi = np.exp(rng.uniform(0.0, np.log(xi_max), n))
+    br = np.sqrt(1.0 + xi**2)
+    h = 1e-3 * br
+    d1 = (sym(xi + h) - sym(xi - h)) / (2.0 * h)
+    d2 = (sym(xi + h) - 2.0 * sym(xi) + sym(xi - h)) / h**2
+    a = sym(xi)
+    c1 = float(np.max(np.abs(d1) * br / a))
+    c2 = float(np.max(np.abs(d2) * br**2 / a))
+    return c1, c2
+
+
+def check_growth_window(sym, xi_max, n=256):
+    """Max deviation of log a / log(1 + xi^2) from [s - eps, s + eps] on
+    |xi| >= 4, net of the table's own multiplicative headroom."""
+    xi = np.exp(np.linspace(np.log(4.0), np.log(xi_max), n))
+    ratio = np.log(sym(xi)) / np.log(1.0 + xi**2)
+    headroom = 0.0
+    if sym.table is not None:
+        k = np.arange(sym.table.size)
+        headroom = float(np.max(np.abs(sym.table - 2.0 * sym.s * k)))
+    allowance = sym.eps + headroom / np.log2(1.0 + xi**2)
+    over = np.maximum(ratio - (sym.s + allowance), (sym.s - allowance) - ratio)
+    return float(np.max(over))
+
+
 @pytest.fixture
 def sym():
     return en.DyadicSymbol.from_exponent(0.3)
@@ -69,10 +105,10 @@ def test_envelope_rejects_zero():
 
 def test_symbol_class_checks(sym):
     rng = np.random.default_rng(2)
-    assert en.check_slowly_varying(sym, rng, 500.0) < 3.0
-    c1, c2 = en.check_derivative_bounds(sym, rng, 500.0)
+    assert check_slowly_varying(sym, rng, 500.0) < 3.0
+    c1, c2 = check_derivative_bounds(sym, rng, 500.0)
     assert c1 < 5.0 and c2 < 10.0
-    assert en.check_growth_window(sym, 500.0) <= 1e-9
+    assert check_growth_window(sym, 500.0) <= 1e-9
 
 
 def test_symbol_kind_follows_table():
@@ -84,7 +120,7 @@ def test_symbol_kind_follows_table():
     xi = np.linspace(-40.0, 40.0, 161)
     for f in ("__call__", "deriv", "g_double_prime"):
         assert np.array_equal(getattr(direct, f)(xi), getattr(built, f)(xi))
-    assert en.check_growth_window(direct, 500.0) == en.check_growth_window(
+    assert check_growth_window(direct, 500.0) == check_growth_window(
         built, 500.0)
     for bad in ([1.0], [[0.0, 1.0]], [0.0, -np.inf]):
         with pytest.raises(ValueError):
@@ -102,10 +138,10 @@ def test_build_symbol_from_envelope():
     for k0 in (0, 2, kmax):
         symb = en.build_symbol(env, k0, s, eps)
         # membership: slowly varying, derivative bounds, windowed growth
-        assert en.check_slowly_varying(symb, rng, 100.0) < 6.0
-        c1, c2 = en.check_derivative_bounds(symb, rng, 100.0)
+        assert check_slowly_varying(symb, rng, 100.0) < 6.0
+        c1, c2 = check_derivative_bounds(symb, rng, 100.0)
         assert c1 < 10.0 and c2 < 60.0
-        assert en.check_growth_window(symb, 100.0) <= 1e-9
+        assert check_growth_window(symb, 100.0) <= 1e-9
         # the max attains the second branch at k = k0
         lower = 4.0 ** (k0 * s) / env.beta[k0]
         assert symb(2.0**k0) >= lower / 4.0

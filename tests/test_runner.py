@@ -2,6 +2,7 @@ import glob
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -62,12 +63,25 @@ def test_validate_and_errors(tmp_path):
     ("[run]\nscenario = envelope\n[envelope]\ncount = 0\n", "envelope.count"),
     ("[run]\nscenario = boundary_bound\n[boundary_bound]\ncount = 0\n",
      "boundary_bound.count"),
+    ("[run]\nscenario = apriori\n[apriori]\nt_final = 0\n", "apriori.t_final"),
+    ("[run]\nscenario = apriori\n[apriori]\nt_final = -1\n",
+     "apriori.t_final"),
+    ("[run]\nscenario = apriori\n[apriori]\nsize = 0\n", "apriori.size"),
+    ("[run]\nscenario = conservation\n[conservation]\nt_final = 0\n",
+     "conservation.t_final"),
+    ("[run]\nscenario = conservation\n[conservation]\nt_final = inf\n",
+     "conservation.t_final"),
+    ("[run]\nscenario = apriori\n[apriori]\ns = nan\n", "apriori.s"),
+    ("[run]\nscenario = estimates\n[estimates]\nids = gridop gridop\n",
+     "estimates.ids repeats entry 'gridop'"),
 ])
 def test_validate_rejects_unknown_fields(tmp_path, capsys, text, field):
     # validate once accepted each of these configs: unknown names before the
     # parser was derived from the criterion signatures, grid sizes or scales
-    # no torus has until they were checked against TorusGeometry, and
-    # negative seeds or empty counts until integers were bounded below
+    # no torus has until they were checked against TorusGeometry, negative
+    # seeds or empty counts until integers were bounded below, and times,
+    # sizes or s outside their ranges or repeated list entries until those
+    # were checked too
     assert cli.main(["validate", write_cfg(tmp_path, text)]) == rn.EXIT_CONFIG
     assert field in capsys.readouterr().err
 
@@ -79,6 +93,37 @@ def test_validate_rejects_unknown_fields(tmp_path, capsys, text, field):
 def test_shipped_configs_validate(path):
     name = rn.validate_config(rn.load_config(path))
     assert name == os.path.splitext(os.path.basename(path))[0]
+
+
+def test_package_reads_no_environment():
+    """Every input of a run comes from its config or its call: no module of
+    the package reads an environment variable."""
+    pkg = os.path.dirname(toruslab.__file__)
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        with open(path) as fh:
+            found = re.findall(r"\b(?:environ|getenv)\b", fh.read())
+        assert not found, (os.path.basename(path), found)
+
+
+def read_reports_csv(path):
+    """Parse an emitted CSV back into per-estimate point sets, slopes,
+    residuals and verdicts."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines or lines[0] != rn.CSV_HEADER:
+        raise rn.ConfigError("unexpected CSV header")
+    groups = {}
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        groups.setdefault(parts[0], []).append(parts)
+    out = {}
+    for eid, rows in groups.items():
+        pts = [es.RatioPoint(float(np.log2(float(r[1]))), float(r[2]),
+                             float(r[3]), float(r[4])) for r in rows]
+        out[eid] = {"points": pts, "slope": float(rows[0][5]),
+                    "residual": float(rows[0][6]),
+                    "verdict": rows[0][7] == "True"}
+    return out
 
 
 def _fake_reports():
@@ -96,7 +141,7 @@ def test_emit_and_roundtrip(tmp_path):
     man_path = str(tmp_path / "out.json")
     rn.emit_report(reports, csv_path, man_path, config_echo={"a": {"b": "1"}},
                    seed=11)
-    parsed = rn.read_reports_csv(csv_path)
+    parsed = read_reports_csv(csv_path)
     assert set(parsed) == {"alpha", "beta"}
     for rep in reports:
         got = parsed[rep.estimate_id]
@@ -122,7 +167,7 @@ def test_emit_empty_reports(tmp_path):
     # a file without even the header is rejected as a bad header
     open(csv_path, "w").close()
     with pytest.raises(rn.ConfigError, match="header"):
-        rn.read_reports_csv(csv_path)
+        read_reports_csv(csv_path)
 
 
 def test_emit_deterministic_bytes(tmp_path):
