@@ -328,8 +328,8 @@ def strichartz_ratio(q, p, n_values, lam=1.0, seed=0, count=32,
                           slope_tol)
 
 
-def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
-                   law=SCHROEDINGER, slope_tol=0.15, include_coherent=True):
+def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
+                   slope_tol=0.15, include_coherent=True):
     """Bilinear shorttime bound: ||e^{itd_xx}u0 e^{itd_xx}v0||_{L2 L2} over
     [0, 2^-n] against 2^(-n/2) ||u0|| ||v0||, for u0 on block n and v0 on
     block k with n - k >= 4; predicted slope -1/2.
@@ -339,8 +339,7 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
     (discrete Parseval; the band of uv lies below nx/2 for the
     nx = _block_nx(u0, v0) grid, so its quadrature gives the same value).
     The product coefficients are shifted rows of the factor with more modes,
-    one shift per mode of the other; ``conjugated`` negates the second
-    factor's modes and conjugates its rows.
+    one shift per mode of the other.
     """
     if any(n - k < 4 for n in n_values):
         raise ValueError("blocks must satisfy n - k >= 4")
@@ -351,21 +350,15 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
             _block_members(seed, count, n, lam, include_coherent),
             _block_members(seed + 104729, count, k, lam, include_coherent),
         ))
-        umodes, vslots = _block_lattice(n, lam), _block_lattice(k, lam)
+        umodes, vmodes = _block_lattice(n, lam), _block_lattice(k, lam)
         uphase = free_rows(1.0, umodes / lam, times, law)
-        vphase = free_rows(1.0, vslots / lam, times, law)
-        vmodes = vslots
-        if conjugated:  # conj(v) carries conj(c_m exp(i t omega_m)) at -m
-            vslots = vslots[::-1]
-            vmodes = -vslots
-            vphase = np.conj(vphase[:, ::-1])
+        vphase = free_rows(1.0, vmodes / lam, times, law)
 
         def ratio(pair):
             u0, v0 = pair
-            cv = v0.coeffs[vslots % v0.geometry.grid_size]
             prod = _product_rows(
                 umodes, u0.coeffs[umodes % u0.geometry.grid_size] * uphase,
-                vmodes, (np.conj(cv) if conjugated else cv) * vphase)
+                vmodes, v0.coeffs[vmodes % v0.geometry.grid_size] * vphase)
             parts = prod.view(float)
             l2sq = np.einsum("tp,tp->t", parts, parts)  # sum_p |(uv)^_p|^2
             lhs = np.sqrt(np.trapezoid(l2sq, times) / u0.geometry.period**3)
@@ -377,8 +370,7 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, conjugated=False,
         return pairs, ratio
 
     # after dividing by 2^(-n/2) the predicted residual slope is zero
-    name = "bilinear_conj" if conjugated else "bilinear"
-    return _family_report(name, n_values, lam, members_at, slope_tol)
+    return _family_report("bilinear", n_values, lam, members_at, slope_tol)
 
 
 def _maximal_norm(u0, law, times):

@@ -152,7 +152,7 @@ def oracle_smoothing_norm(u0, law, times):
     return float(np.max(np.sqrt(total)))
 
 
-def oracle_bilinear_ratio(u0, v0, n, law, conjugated=False):
+def oracle_bilinear_ratio(u0, v0, n, law):
     """||u v||_{L2_t L2_x([0, 2^-n])} / (2^(-n/2) ||u0|| ||v0||) with both
     free solutions on the space-time grid of _block_nx(u0, v0) points (the
     evaluation the lattice route of bilinear_ratio replaced)."""
@@ -163,8 +163,6 @@ def oracle_bilinear_ratio(u0, v0, n, law, conjugated=False):
     for sl in time_chunks(times):
         uu = es.free_solution_grid(u0, law, times[sl], nx)
         vv = es.free_solution_grid(v0, law, times[sl], nx)
-        if conjugated:
-            vv = np.conj(vv)
         l2sq = dx * np.sum(np.abs(uu * vv) ** 2, axis=1)
         total += np.trapezoid(l2sq, times[sl])
     return np.sqrt(total) / (2.0 ** (-n / 2.0) * u0.l2_norm() * v0.l2_norm())
@@ -251,9 +249,6 @@ def test_bilinear():
         r = es.bilinear_ratio([6, 7, 8], 1, lam=lam, count=4, seed=3)
         vals.append(r.points[0].max_ratio)
     assert max(vals) / min(vals) <= 1.25
-    # conjugated variant behaves the same
-    rep_c = es.bilinear_ratio([5, 6, 7], 1, count=4, seed=2, conjugated=True)
-    assert abs(rep_c.slope) <= 0.15
 
 
 def test_zero_factor_skipped():
@@ -313,20 +308,18 @@ def test_smoothing_matches_grid_oracle(law, lam):
 @LAWS
 @pytest.mark.parametrize("lam", [1.0, 2.0])
 def test_bilinear_matches_grid_oracle(law, lam):
-    """The lattice route of bilinear_ratio agrees with the space-time grid,
-    plain and conjugated, on blocks 5, 6 and 8 against block 1 and on
-    blocks 4, 5 and 6 against block 0; Gaussian and coherent members."""
+    """The lattice route of bilinear_ratio agrees with the space-time grid
+    on blocks 5, 6 and 8 against block 1 and on blocks 4, 5 and 6 against
+    block 0; Gaussian and coherent members."""
     for ns, k in (([5, 6, 8], 1), ([4, 5, 6], 0)):
-        for conjugated in (False, True):
-            rep = es.bilinear_ratio(ns, k, lam=lam, law=law, seed=16,
-                                    count=1, conjugated=conjugated)
-            assert rep.skipped == 0
-            for n, point in zip(ns, rep.points):
-                ratios = [oracle_bilinear_ratio(u0, v0, n, law, conjugated)
-                          for u0, v0 in zip(
-                              es._block_members(16, 1, n, lam, True),
-                              es._block_members(16 + 104729, 1, k, lam, True))]
-                assert_matches_oracle(point, ratios)
+        rep = es.bilinear_ratio(ns, k, lam=lam, law=law, seed=16, count=1)
+        assert rep.skipped == 0
+        for n, point in zip(ns, rep.points):
+            ratios = [oracle_bilinear_ratio(u0, v0, n, law)
+                      for u0, v0 in zip(
+                          es._block_members(16, 1, n, lam, True),
+                          es._block_members(16 + 104729, 1, k, lam, True))]
+            assert_matches_oracle(point, ratios)
 
 
 def test_l4_modulation():
@@ -586,8 +579,8 @@ class TestTrilinear:
         assert np.isfinite(rep.slope)
 
 
-def test_empty_one_sided_member_skipped_once(monkeypatch):
-    """An empty member is one skipped member per sweep value: with a zero
+def test_zero_member_skipped_once(monkeypatch):
+    """A zero member is one skipped member per sweep value: with a zero
     coherent member the bilinear denominator is 0, its ratio nan, and the
     report counts one skip at each sweep value."""
     def zero(n, lam=1.0):
