@@ -6,20 +6,17 @@ Run from the repository root:  python demos/01_flows_and_invariants.py
 
 import numpy as np
 
-from toruslab import (
+from toruslab.evolution import (
     BENJAMIN_ONO,
     SCHROEDINGER,
     FlowProblem,
-    SpectralField,
-    TorusGeometry,
     conserved_energy,
     conserved_mass,
     evolve,
     free_evolve,
-    random_field,
     rescale,
-    sobolev_norm,
 )
+from toruslab.spectral import SpectralField, TorusGeometry, random_field, sobolev_norm
 
 rng = np.random.default_rng(0)
 g = TorusGeometry(1.0, 256)

@@ -8,9 +8,10 @@ resolvent weight suppresses it.
 
 import numpy as np
 
-from toruslab import BENJAMIN_ONO, TorusGeometry, random_field
 from toruslab import bumps
+from toruslab.evolution import BENJAMIN_ONO
 from toruslab.spacetime import fk_norm, modulated_profile_field, nk_norm, xk_norm
+from toruslab.spectral import TorusGeometry, random_field
 
 rng = np.random.default_rng(1)
 law = BENJAMIN_ONO

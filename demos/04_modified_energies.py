@@ -9,7 +9,6 @@ integrated trajectory.
 
 import numpy as np
 
-from toruslab import BENJAMIN_ONO, FlowProblem, TorusGeometry, random_field
 from toruslab.energy import (
     DyadicSymbol,
     b4_multiplier,
@@ -22,7 +21,8 @@ from toruslab.energy import (
     r4_form,
     r6_form,
 )
-from toruslab.evolution import dealias_band, evolve
+from toruslab.evolution import BENJAMIN_ONO, FlowProblem, dealias_band, evolve
+from toruslab.spectral import TorusGeometry, random_field
 
 rng = np.random.default_rng(2)
 g = TorusGeometry(1.0, 32)

@@ -135,10 +135,6 @@ class DyadicSymbol:
     def from_exponent(cls, s, eps=0.05):
         return cls(s=s, eps=eps)
 
-    @classmethod
-    def from_blocks(cls, log2_values, s, eps):
-        return cls(s=s, eps=eps, table=log2_values)
-
     def _loglog(self, xi):
         """A(t), A'(t) at t = log2 <xi>, by smoothed linear interpolation."""
         from .bumps import smoothstep, smoothstep_prime
@@ -198,7 +194,7 @@ def build_symbol(envelope, k0, s, eps):
     k = np.arange(kmax + 1)
     bump = np.maximum(1.0, 2.0 ** (-eps * np.abs(k - k0)) / envelope.beta[k0])
     log2_vals = 2.0 * s * k + np.log2(bump)
-    return DyadicSymbol.from_blocks(log2_vals, s, eps)
+    return DyadicSymbol(s=s, eps=eps, table=log2_vals)
 
 
 # ---------------------------------------------------------------------------

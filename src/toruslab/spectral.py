@@ -45,8 +45,9 @@ class TorusGeometry:
     grid_size: int
 
     def __post_init__(self):
-        if self.lam < 1.0:
-            raise ValueError(f"scale lambda must be >= 1, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 1.0):
+            raise ValueError(
+                f"scale lambda must be finite and >= 1, got {self.lam}")
         m = self.grid_size
         if m < 4 or (m & (m - 1)) != 0:
             raise ValueError(f"grid_size must be a power of two >= 4, got {m}")
@@ -240,14 +241,16 @@ def sobolev_norm(f, s):
 
 
 def lebesgue_norm(samples, lam, p):
-    """L^p norm of grid samples by trapezoidal quadrature; p = inf allowed."""
+    """L^p norm of grid samples by trapezoidal quadrature; p = inf allowed.
+    Reduces over the last axis (leading axes batch), so one row of samples
+    gives a numpy scalar and a stack of rows one norm per row."""
     if p != np.inf and p < 1:
         raise ValueError(f"Lebesgue exponent must be >= 1, got {p}")
-    s = np.abs(np.asarray(samples, dtype=complex))
+    s = np.abs(samples)
     if p == np.inf:
-        return float(np.max(s))
+        return np.max(s, axis=-1)
     dx = 2.0 * np.pi * lam / s.shape[-1]
-    return float((dx * np.sum(s**p)) ** (1.0 / p))
+    return (dx * np.sum(s**p, axis=-1)) ** (1.0 / p)
 
 
 def field_lebesgue_norm(f, p, oversample=4):

@@ -112,11 +112,11 @@ def test_symbol_class_checks(sym):
 
 
 def test_symbol_kind_follows_table():
-    """A table makes a block symbol whichever way it is built, and a bad
-    table is rejected either way."""
+    """A table makes a block symbol whether it is passed by position or by
+    keyword, and a bad table is rejected either way."""
     table = [0.0, 0.7, 1.1, 1.9]
     direct = en.DyadicSymbol(0.3, 0.1, table)
-    built = en.DyadicSymbol.from_blocks(table, 0.3, 0.1)
+    built = en.DyadicSymbol(s=0.3, eps=0.1, table=table)
     xi = np.linspace(-40.0, 40.0, 161)
     for f in ("__call__", "deriv", "g_double_prime"):
         assert np.array_equal(getattr(direct, f)(xi), getattr(built, f)(xi))
@@ -126,7 +126,7 @@ def test_symbol_kind_follows_table():
         with pytest.raises(ValueError):
             en.DyadicSymbol(0.3, 0.1, bad)
         with pytest.raises(ValueError):
-            en.DyadicSymbol.from_blocks(bad, 0.3, 0.1)
+            en.DyadicSymbol(s=0.3, eps=0.1, table=bad)
 
 
 def test_build_symbol_from_envelope():

@@ -4,7 +4,8 @@ import pytest
 from toruslab import bumps, estimates as es, spacetime as st
 from toruslab.evolution import BENJAMIN_ONO, SCHROEDINGER
 from toruslab.runner import TRILINEAR_SWEEPS
-from toruslab.spectral import SpectralField, TorusGeometry, block_indicator
+from toruslab.spectral import (SpectralField, TorusGeometry, block_indicator,
+                               lebesgue_norm)
 
 from oracles import eta_j
 
@@ -338,8 +339,8 @@ def test_conjugation_reflection_identity():
     nx = es._block_nx(u0)
     a = es.free_solution_grid(ubar, SCHROEDINGER, times, nx)
     b = es.free_solution_grid(u0, SCHROEDINGER, -times, nx)
-    la = np.trapezoid(es._lp_x(a, 1.0, 4) ** 6, times) ** (1.0 / 6.0)
-    lb = np.trapezoid(es._lp_x(b, 1.0, 4) ** 6, times) ** (1.0 / 6.0)
+    la = np.trapezoid(lebesgue_norm(a, 1.0, 4) ** 6, times) ** (1.0 / 6.0)
+    lb = np.trapezoid(lebesgue_norm(b, 1.0, 4) ** 6, times) ** (1.0 / 6.0)
     assert abs(la - lb) < 1e-12 * la
 
 
@@ -491,6 +492,27 @@ class TestTrilinear:
                 table = cfg.tau_table
                 narrow += 2 * np.max(table.hi - table.lo + 1) < table.ngrid
         assert narrow > 0
+
+    @pytest.mark.parametrize("cls_name, ks, law, conj", [
+        ("high_high_high_to_low", (5, 5, 5, 1), BENJAMIN_ONO, False),
+        ("low_low_low_to_low", (1, 1, 4, 4), SCHROEDINGER, True),
+        ("high_high_high_to_high", (5, 5, 5, 5), SCHROEDINGER, True),
+    ])
+    def test_tau_bin_budget(self, monkeypatch, cls_name, ks, law, conj):
+        """The pinned TRILINEAR_TAU_BINS = 8 stays within 3e-2 relative of
+        a 4x finer spike grid for one Gaussian profile (measured -4.6e-4,
+        +4.7e-3 and -2.25e-2 in these three cases).  A relative change of at
+        most 3e-2 in every ratio moves log2 max_ratio by at most
+        |log2(1 - 3e-2)| < 0.044, and so the slope of a three-point sweep
+        by at most 0.044, next to the thinnest criterion-9 margin, 0.115
+        (dnls high_high_high_to_high)."""
+        lhs = {}
+        for bins in (8, 32):
+            monkeypatch.setattr(es, "TRILINEAR_TAU_BINS", bins)
+            cfg = es.TrilinearConfig(cls_name, ks, law=law,
+                                     conjugate_middle=conj)
+            lhs[bins] = cfg.lhs_norm(cfg.profiles(es.sample_rng(10, 0)))
+        assert abs(lhs[8] - lhs[32]) <= 3e-2 * lhs[32]
 
     def test_factor_norm_factorization(self):
         """The factored F-norm equals the generic windowed norm."""

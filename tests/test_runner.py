@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -56,6 +57,10 @@ def test_validate_and_errors(tmp_path):
      "apriori.grid_size"),
     ("[run]\nscenario = spectral_exactness\n[spectral_exactness]\n"
      "lambdas = 1 0.5\n", "spectral_exactness.lambdas"),
+    ("[run]\nscenario = spectral_exactness\n[spectral_exactness]\n"
+     "lambdas = 1 nan\n", "spectral_exactness.lambdas"),
+    ("[run]\nscenario = spectral_exactness\n[spectral_exactness]\n"
+     "lambdas = 1 inf\n", "spectral_exactness.lambdas"),
     ("[run]\nscenario = apriori\n[apriori]\ncount = 0\n", "apriori.count"),
     ("[run]\nscenario = multiplier_bounds\n[multiplier_bounds]\n"
      "tuples_per_pattern = 0\n", "multiplier_bounds.tuples_per_pattern"),
@@ -103,6 +108,17 @@ def test_package_reads_no_environment():
         with open(path) as fh:
             found = re.findall(r"\b(?:environ|getenv)\b", fh.read())
         assert not found, (os.path.basename(path), found)
+
+
+def test_package_root_binds_only_submodules():
+    """Each name has one home: the package root binds ``__version__`` and
+    the submodules, and re-exports nothing."""
+    for name, value in vars(toruslab).items():
+        if name.startswith("_"):
+            continue
+        assert isinstance(value, types.ModuleType), name
+        assert value.__name__ == f"toruslab.{name}", name
+    assert isinstance(toruslab.__version__, str)
 
 
 def read_reports_csv(path):

@@ -111,6 +111,13 @@ def test_lebesgue_norms():
     assert abs(sp.lebesgue_norm(np.cos(x), 1.0, np.inf) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         sp.lebesgue_norm(np.ones(8), 1.0, 0.5)
+    # the last axis is reduced: a stack of rows gives one norm per row
+    rows = np.stack([np.ones(256), np.cos(x), np.sin(3 * x)])
+    for p in (2, 4, np.inf):
+        batched = sp.lebesgue_norm(rows, 1.0, p)
+        assert batched.shape == (3,)
+        assert all(batched[i] == sp.lebesgue_norm(r, 1.0, p)
+                   for i, r in enumerate(rows))
     f = sp.forward_transform(np.cos(x), g)
     assert abs(sp.field_lebesgue_norm(f, 4) - (3 * np.pi / 4) ** 0.25) < 1e-10
 
@@ -148,6 +155,9 @@ def test_geometry_validation():
         sp.TorusGeometry(0.5, 256)
     with pytest.raises(ValueError):
         sp.TorusGeometry(1.0, 100)
+    for lam in (np.nan, np.inf):  # nan passed a plain `lam < 1` check
+        with pytest.raises(ValueError):
+            sp.TorusGeometry(lam, 64)
 
 
 def _direct_cube(c, conjugate_middle, period):
