@@ -23,14 +23,14 @@ sum_l W_j(tau_l) |ghat(tau_l)|^2, W_j = eta_j^2 (over tau^2 + 4^k for the
 nonlinearity norm).  That equals the lag sum over |d| < n of K_j[d] A[d], with
 the lag kernel K_j = Re fft(W_j) and the mode-summed autocorrelation
 A[d] = sum_modes sum_i g_(i+d) conj(g_i), exact from an FFT of length
-L = min(next_pow2(2n + 8), npad): 256 against npad = 4096 at k = 6.  Each call
-builds the kernels once per npad and reduces the windows in (windows, L,
-modes) batches of at most CHUNK_BYTES.  The lag sum cancels down from the
-window's power, so an annulus holding a tiny share of it loses accuracy; the
-m-th difference of g (m < 4) tilts that power, (4 sin^2(tau dt / 2))^m
-|ghat|^2, to high tau, and each annulus takes the form with the smallest
-rounding bound A_m[0] |K_j,m|_1.  A near-empty annulus can still sum to a
-tiny negative, clamped to zero.
+L = min(next_pow2(2n + 8), npad): 256 against npad = 4096 at k = 6.  A call
+builds the kernels once per npad for all its fields and reduces the windows
+in (windows, L, modes) batches of at most CHUNK_BYTES.  The lag sum cancels
+down from the window's power, so an annulus holding a tiny share of it loses
+accuracy; the m-th difference of g (m < 4) tilts that power,
+(4 sin^2(tau dt / 2))^m |ghat|^2, to high tau, and each annulus takes the form
+with the smallest rounding bound A_m[0] |K_j,m|_1.  A near-empty annulus can
+still sum to a tiny negative, clamped to zero.
 """
 
 from dataclasses import dataclass
@@ -143,54 +143,57 @@ def _lag_kernels(npad, lags, dt, k, nj, resolvent):
     return kern, np.sum(np.abs(kern), axis=1)
 
 
-def _modulation_sup(field, rows, k, b, law, resolvent, tau_bins):
-    """Largest block norm over the windowed segments w * nu[lo:lo + w.size],
-    (lo, w) in rows, of the demodulated active columns nu of the field."""
-    cols = field.active_columns()
-    if not np.any(cols):
-        return 0.0
-    if np.any(cols & ~block_indicator(field.xi, k)):
+def _modulation_sup(fields, rows, k, b, law, resolvent, tau_bins):
+    """Largest block norm of each field over the windowed segments
+    w * nu[lo:lo + w.size], (lo, w) in rows, of its demodulated active
+    columns nu; the fields share one time grid and the lag kernels."""
+    f0, dt = fields[0], fields[0].dt
+    cols = [f.active_columns() for f in fields]
+    if any(np.any(c & ~block_indicator(f0.xi, k)) for c in cols):
         raise SupportError(f"field has active frequencies outside block {k}")
-    dt = field.dt
-    nu = field.values[:, cols] * np.exp(
-        -1j * np.outer(field.tgrid, law.omega(field.xi[cols])))
+    demod = np.exp(-1j * np.outer(f0.tgrid, law.omega(f0.xi)))
+    nus = {i: f.values[:, c] * demod[:, c]
+           for i, (f, c) in enumerate(zip(fields, cols)) if np.any(c)}
+    best = [0.0] * len(fields)
+    if not nus:
+        return best
     floor = int(np.ceil(2.0 * np.pi / (2.0**k / tau_bins * dt)))
     groups = {}
     for lo, w in rows:
         npad = bumps.next_pow2(max(4 * w.size, floor))
         groups.setdefault(npad, []).append((lo, w))
     jweights = 2.0 ** (b * np.arange(bumps.max_resolved_j(np.pi / dt) + 1))
-    best = 0.0
     for npad, group in groups.items():
         nmax = max(w.size for _, w in group) + DIFFERENCE_FORMS
         nlag = min(bumps.next_pow2(2 * nmax), npad)
         lags = np.fft.fftfreq(nlag, 1.0 / nlag).astype(int) % npad
         kern, norm1 = _lag_kernels(npad, lags, dt, k, jweights.size, resolvent)
-        kern *= 2.0 * np.pi * dt / field.geometry.lam
+        kern *= 2.0 * np.pi * dt / f0.geometry.lam
         diff = 4.0 * np.sin(np.pi * np.arange(nlag) / nlag) ** 2
         tilt = diff ** np.arange(DIFFERENCE_FORMS)[:, None]
-        per = max(1, CHUNK_BYTES // (16 * nlag * nu.shape[1]))
-        for first in range(0, len(group), per):
-            chunk = group[first:first + per]
-            seg = np.zeros((len(chunk), nlag, nu.shape[1]), dtype=complex)
-            for i, (lo, w) in enumerate(chunk):
-                seg[i, :w.size] = nu[lo:lo + w.size] * w[:, None]
-            spec = np.fft.fft(seg, axis=1)
-            power = np.sum(spec.real**2 + spec.imag**2, axis=2)
-            acf = np.fft.ifft(power * tilt[:, None, :], axis=-1).real
-            err = acf[..., :1] * norm1[:, None, :]
-            err[1:, :, 0] = np.inf  # eta_0 has no difference form
-            form = np.argmin(err, axis=0)[None]
-            blocks = np.take_along_axis(acf @ kern, form, axis=0)[0]
-            norms = np.sqrt(np.maximum(blocks, 0.0)) @ jweights
-            best = max(best, float(np.max(norms)))
+        for i, nu in nus.items():
+            per = max(1, CHUNK_BYTES // (16 * nlag * nu.shape[1]))
+            for first in range(0, len(group), per):
+                chunk = group[first:first + per]
+                seg = np.zeros((len(chunk), nlag, nu.shape[1]), dtype=complex)
+                for n, (lo, w) in enumerate(chunk):
+                    seg[n, :w.size] = nu[lo:lo + w.size] * w[:, None]
+                spec = np.fft.fft(seg, axis=1)
+                power = np.sum(spec.real**2 + spec.imag**2, axis=2)
+                acf = np.fft.ifft(power * tilt[:, None, :], axis=-1).real
+                err = acf[..., :1] * norm1[:, None, :]
+                err[1:, :, 0] = np.inf  # eta_0 has no difference form
+                form = np.argmin(err, axis=0)[None]
+                blocks = np.take_along_axis(acf @ kern, form, axis=0)[0]
+                norms = np.sqrt(np.maximum(blocks, 0.0)) @ jweights
+                best[i] = max(best[i], float(np.max(norms)))
     return best
 
 
 def xk_norm(field, k, law, b=0.5, tau_bins=TAU_BINS_PER_WINDOW_SCALE):
     """Modulation-sum norm of the whole field (no time window applied)."""
     rows = [(0, np.ones(field.tgrid.size))]
-    return _modulation_sup(field, rows, k, b, law, False, tau_bins)
+    return _modulation_sup([field], rows, k, b, law, False, tau_bins)[0]
 
 
 def window_centers(support, k):
@@ -224,14 +227,14 @@ def fk_norm(field, k, law, b=0.5, centers=None,
             tau_bins=TAU_BINS_PER_WINDOW_SCALE):
     """Shorttime norm: sup over window centers of the windowed block norm."""
     rows = _window_rows(field, k, centers)
-    return _modulation_sup(field, rows, k, b, law, False, tau_bins)
+    return _modulation_sup([field], rows, k, b, law, False, tau_bins)[0]
 
 
 def nk_norm(field, k, law, b=0.5, centers=None,
             tau_bins=TAU_BINS_PER_WINDOW_SCALE):
     """Nonlinearity norm: windowed block norm with the resolvent weight."""
     rows = _window_rows(field, k, centers)
-    return _modulation_sup(field, rows, k, b, law, True, tau_bins)
+    return _modulation_sup([field], rows, k, b, law, True, tau_bins)[0]
 
 
 def time_cutoff(field, t_lim, width):
@@ -247,13 +250,15 @@ def time_cutoff(field, t_lim, width):
     )
 
 
-def assembled_norm(field, s, kind, t_lim, law=None,
+def assembled_norm(fields, s, kind, t_lim, law=None,
                    tau_bins=TAU_BINS_PER_WINDOW_SCALE):
-    """Dyadically assembled norms at regularity s on the window [-T, T].
+    """Dyadically assembled norms at regularity s on the window [-T, T], one
+    per field; the fields share a geometry, lattice, time grid and support.
 
     kind "E": ell2 over blocks of 2^(2ks) * sup_t ||P_k u(t)||_L2^2;
     kind "F"/"N": same assembly from the windowed block norms of the field
-    smoothly cut off at scale max(2^-k-10, 4 dt) outside [-T, T].  Evaluating
+    smoothly cut off at scale max(2^-k-10, 4 dt) outside [-T, T], with one
+    window-row and lag-kernel build per block for all fields.  Evaluating
     the concrete cut-off field over-estimates the extension infimum, which is
     the safe direction for upper-bound checks.
     """
@@ -261,24 +266,27 @@ def assembled_norm(field, s, kind, t_lim, law=None,
         raise ValueError(f"unknown norm kind {kind!r}")
     if kind in ("F", "N") and law is None:
         raise ValueError("a dispersion law is required")
-    g = field.geometry
-    kmax = max_block(g)
-    total = 0.0
-    tsel = (field.tgrid >= -t_lim - 1e-12) & (field.tgrid <= t_lim + 1e-12)
-    for k in range(kmax + 1):
-        mask = block_indicator(field.xi, k)
+    if len({(f.geometry, f.support, f.mvals.tobytes(), f.tgrid.tobytes())
+            for f in fields}) > 1:
+        raise ValueError("fields must share geometry, lattice and time grid")
+    first = fields[0]
+    g = first.geometry
+    totals = [0.0] * len(fields)
+    tsel = (first.tgrid >= -t_lim - 1e-12) & (first.tgrid <= t_lim + 1e-12)
+    for k in range(max_block(g) + 1):
+        mask = block_indicator(first.xi, k)
         if not np.any(mask):
             continue
-        blockvals = field.values[:, mask]
-        if not np.any(blockvals):
-            continue
         if kind == "E":
-            sq = np.sum(np.abs(blockvals[tsel]) ** 2, axis=1) / (2.0 * np.pi * g.lam)
-            val2 = float(np.max(sq)) if np.any(tsel) else 0.0
+            sq = [np.sum(np.abs(f.values[:, mask][tsel]) ** 2, axis=1)
+                  / (2.0 * np.pi * g.lam) for f in fields]
+            vals2 = [float(np.max(q)) if np.any(tsel) else 0.0 for q in sq]
         else:
-            width = max(2.0 ** (-k - 10), 4.0 * field.dt)
-            cut = time_cutoff(field.restrict_block(k), t_lim, width)
-            fn = fk_norm if kind == "F" else nk_norm
-            val2 = fn(cut, k, law=law, tau_bins=tau_bins) ** 2
-        total += 4.0 ** (k * s) * val2
-    return float(np.sqrt(total))
+            width = max(2.0 ** (-k - 10), 4.0 * first.dt)
+            cuts = [time_cutoff(f.restrict_block(k), t_lim, width)
+                    for f in fields]
+            rows = _window_rows(cuts[0], k, None)
+            vals2 = [v**2 for v in _modulation_sup(
+                cuts, rows, k, 0.5, law, kind == "N", tau_bins)]
+        totals = [t + 4.0 ** (k * s) * v for t, v in zip(totals, vals2)]
+    return [float(np.sqrt(t)) for t in totals]

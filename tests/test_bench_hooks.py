@@ -14,7 +14,8 @@ if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
 from perfbench import spans  # noqa: E402
-from toruslab import energy, estimates, evolution, spectral  # noqa: E402
+from toruslab import (energy, estimates, evolution, spacetime,  # noqa: E402
+                      spectral)
 
 
 def test_instrument_and_restore():
@@ -40,6 +41,23 @@ def test_counted_parameters_bind():
     assert spans._grid_counts(bound.arguments, None, None) == {"bytes": 5 * 32 * 16}
     for fn in (energy.e1_correction, energy.r4_form, energy.r6_form):
         assert "u" in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_window_counts_bind():
+    """The traced window norms keep the ``field``, ``k`` and ``centers``
+    parameters that the window count reads."""
+    g = spectral.TorusGeometry(1.0, 16)
+    tgrid = np.linspace(-0.5, 0.5, 9)
+    field = spacetime.SpaceTimeField(g, np.arange(2, 4), tgrid,
+                                     np.ones((9, 2)), (-0.5, 0.5))
+    windows = len(spacetime.window_centers(field.support, 1))
+    for fn in (spacetime.fk_norm, spacetime.nk_norm):
+        for centers, count in ((None, windows), (np.zeros(3), 3)):
+            bound = inspect.signature(fn).bind(
+                field, 1, evolution.BENJAMIN_ONO, centers=centers)
+            bound.apply_defaults()
+            counts = spans._window_counts(bound.arguments, None, None)
+            assert counts == {"k": 1, "windows": count}, fn.__name__
 
 
 def test_member_counts_bind():

@@ -346,3 +346,39 @@ def test_sobolev_sup_matches_per_snapshot_norms():
     for s in (0.3, 0.75):
         loop = max(sp.sobolev_norm(traj.field(j), s) for j in range(len(traj)))
         assert rn._sobolev_sup(traj, s) == loop
+
+
+def test_apriori_step_budget():
+    """Criterion 10 integrates at four times ``default_dt``.  On its datum
+    (seed 110, M = 256, size 0.05) over T = 0.25 the states stay within 1e-9
+    of the default step's, about 4x finer, relative to the largest
+    coefficient (measured 2.3e-11; 2.5e-11 at T = 1).  The deviation grows
+    like size^2: at T = 0.25 it is 2.3e-9 at size 0.5, 1.0e-8 at size 1.0 and
+    1.4e-7 at size 2.0.  Rounding to whole steps per snapshot makes the
+    realised step dt max|omega| = 2 x / max(1, round(x)) for x pinned steps
+    per snapshot, which is at most 3, so the <= 4 regime check cannot trip
+    for any grid_size or t_final."""
+    from toruslab import evolution as ev
+
+    (pinned,) = rn._apriori_trajectories(110, 0.05, 256, 0.25, 1)
+    (fine,) = ev.evolve_two_sided([pinned.problem], 0.25,
+                                  n_snapshots=(len(pinned) + 1) // 2)
+    assert np.array_equal(pinned.times, fine.times)
+    scale = np.max(np.abs(fine.states))
+    assert np.max(np.abs(pinned.states - fine.states)) <= 1e-9 * scale
+
+
+def test_apriori_tau_bin_budget():
+    """Criterion 10's F norm at 16 tau bins stays within 1e-3 relative of 64
+    bins (seed 110, M = 64, T = 0.25, s - eps = 0.275; measured -2.2e-5, and
+    -5.3e-6 at M = 128).  The energy constant uses F^6, so this allows a
+    relative shift of at most about 6e-3 in ``energy_constant``."""
+    from toruslab import evolution as ev
+    from toruslab import spacetime as st
+
+    (traj,) = rn._apriori_trajectories(110, 0.05, 64, 0.25, 1)
+    field = st.from_trajectory(traj)
+    coarse, fine = (st.assembled_norm([field], 0.275, "F", 0.25,
+                                      law=ev.BENJAMIN_ONO, tau_bins=bins)[0]
+                    for bins in (16, 64))
+    assert abs(coarse - fine) <= 1e-3 * fine

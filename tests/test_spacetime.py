@@ -276,14 +276,14 @@ def test_assembled_norms():
     vals = np.tile(u.coeffs[np.argsort(g.mvals)], (33, 1))
     f = st.SpaceTimeField(g, np.sort(g.mvals), tg, vals, (-1.0, 1.0))
     s = 0.4
-    e_norm = st.assembled_norm(f, s, "E", 1.0)
+    e_norm = st.assembled_norm([f], s, "E", 1.0)[0]
     hs = sp.sobolev_norm(u, s) / np.sqrt(2.0 * np.pi)
     assert e_norm <= hs * 1.0001
     assert e_norm >= hs * 5.0 ** (-s) * 0.9999
     # zero field
     zf = st.SpaceTimeField(g, np.sort(g.mvals), tg, 0.0 * vals, (-1.0, 1.0))
     for kind in ("E", "F", "N"):
-        assert st.assembled_norm(zf, s, kind, 1.0, law=LAW) == 0.0
+        assert st.assembled_norm([zf], s, kind, 1.0, law=LAW)[0] == 0.0
     # single-block field: assembly reduces to the weighted block value
     k = 3
     fb, _ = block_field(k, seed=2)
@@ -291,8 +291,31 @@ def test_assembled_norms():
         st.time_cutoff(fb.restrict_block(k), 0.1, max(2.0 ** (-k - 10), 4 * fb.dt)),
         k, law=LAW,
     )
-    asm = st.assembled_norm(fb, s, "F", 0.1, law=LAW)
+    asm = st.assembled_norm([fb], s, "F", 0.1, law=LAW)[0]
     assert abs(asm - 2.0 ** (k * s) * fk_val) < 1e-9 * asm
+
+
+def test_assembled_norm_batch_equals_single_fields():
+    """One call over fields on a shared time grid builds each block's window
+    rows and lag kernels once and gives exactly the per-field values; fields
+    on different time grids are rejected."""
+    g = sp.TorusGeometry(1.0, 64)
+    problems = [ev.FlowProblem(ev.BENJAMIN_ONO, +1, sp.random_field(
+        g, np.random.default_rng(seed), band=10, real=True, decay=1.5) * 0.05)
+        for seed in (3, 4)]
+    fields = [st.from_trajectory(traj)
+              for traj in ev.evolve_two_sided(problems, 0.3, n_snapshots=97)]
+    fields.append(fields[0].scaled(0.0))
+    for kind in ("E", "F", "N"):
+        batch = st.assembled_norm(fields, 0.3, kind, 0.25, law=LAW)
+        single = [st.assembled_norm([f], 0.3, kind, 0.25, law=LAW)[0]
+                  for f in fields]
+        assert batch == single and batch[0] > 0.0 and batch[2] == 0.0
+    f = fields[0]
+    coarse = st.SpaceTimeField(f.geometry, f.mvals, f.tgrid[::2],
+                               f.values[::2], f.support)
+    with pytest.raises(ValueError, match="time grid"):
+        st.assembled_norm([f, coarse], 0.3, "F", 0.25, law=LAW)
 
 
 def test_linear_shorttime_energy_inequality():
@@ -316,9 +339,9 @@ def test_linear_shorttime_energy_inequality():
             g, field.mvals, traj.times,
             vstates[:, np.argsort(g.mvals)], field.support,
         )
-        f_norm = st.assembled_norm(field, s, "F", t_lim, law=LAW)
-        e_norm = st.assembled_norm(field, s, "E", t_lim)
-        n_norm = st.assembled_norm(vfield, s, "N", t_lim, law=LAW)
+        f_norm = st.assembled_norm([field], s, "F", t_lim, law=LAW)[0]
+        e_norm = st.assembled_norm([field], s, "E", t_lim)[0]
+        n_norm = st.assembled_norm([vfield], s, "N", t_lim, law=LAW)[0]
         worst = max(worst, f_norm / (e_norm + n_norm))
     assert np.isfinite(worst) and worst < 50.0
 
