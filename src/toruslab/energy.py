@@ -39,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import DispersionLaw, dealias_band
-from .spectral import (SpectralField, block_indicator, cubic_coeffs, lp_project,
-                       max_block, sobolev_norm)
+from .evolution import dealias_band
+from .spectral import cubic_coeffs, lp_project, max_block, sobolev_norm
 
 TWO_PI_SQ_INV = 1.0 / (2.0 * np.pi) ** 2
 RESONANCE_THETA = 1e-6   # quotient branch iff |Omega| > theta * mu^2
@@ -434,109 +433,76 @@ def e0_energy(sym, u, law):
     return float(np.sum(a * np.abs(u.coeffs) ** 2) / u.lam)
 
 
-@dataclass(frozen=True)
-class Gamma4Table:
-    """One u-independent multiplier on every Gamma4 tuple of one band, stored
-    per chunk of ``GridSimplex(4, band, lam).chunks()``: kind "b4" holds b4
-    (for e1_correction and r6_form), kind "q" the sum Q = g(xi1) + ... +
-    g(xi4) that r4_form contracts."""
+def _gamma4_sums(kind, sym, law, band, lam, batch):
+    """For each entry of ``batch``, lam^-3 sum over the Gamma4 tuples of
+    ``band`` of mult * sum_t weight_t * prod_i slots_t[i](m_i).
 
-    kind: str
-    sym: DyadicSymbol
-    law: DispersionLaw
-    band: int
-    lam: float
-    values: tuple
-
-
-def _multiplier_chunks(kind, sym, law, band, lam):
-    """Yield the multiplier of a Gamma4 sum over ``band``, one chunk at a
-    time: b4 for kind "b4", Q for kind "q"."""
-    for m1, m2, m3, m4 in GridSimplex(4, band, lam).chunks():
-        xi = (m1 / lam, m2 / lam, m3 / lam, m4 / lam)
-        if kind == "b4":
-            yield b4_multiplier(sym, xi, law)
-        else:
-            yield sym.g(xi[0]) + sym.g(xi[1]) + sym.g(xi[2]) + sym.g(xi[3])
-
-
-def gamma4_table(kind, sym, law, band, lam):
-    """The multiplier of kind "b4" or "q" on every Gamma4 tuple of ``band``,
-    evaluated once for reuse across fields of one (sym, law, lam)."""
-    if kind not in ("b4", "q"):
-        raise ValueError(f"unknown Gamma4 multiplier kind {kind!r}")
-    values = tuple(_multiplier_chunks(kind, sym, law, band, lam))
-    return Gamma4Table(kind, sym, law, band, lam, values)
-
-
-def _multiplier_values(kind, sym, law, band, lam, table):
-    """(lattice band, per-chunk multiplier values) for a Gamma4 sum whose
-    slots live on |m| <= band: the table's band and values when one is given
-    and fits, else ``band`` and a generator evaluating one chunk at a time."""
-    if table is None:
-        return band, _multiplier_chunks(kind, sym, law, band, lam)
-    if ((table.kind, table.law, table.lam) != (kind, law, lam)
-            or table.sym is not sym or table.band < band):
-        raise ValueError(
-            f"{table.kind} table for {table.law.tag}, band {table.band}, "
-            f"lam {table.lam} does not fit a {kind} sum for {law.tag}, "
-            f"band {band}, lam {lam}")
-    return table.band, table.values
-
-
-def _gamma4_value(values, terms, band, lam):
-    """lam^-3 sum over the Gamma4 tuples of ``band`` of
-    mult * sum_t weight_t * prod_i slots_t[i](m_i).
-
-    ``values`` yields mult one array per chunk of
-    ``GridSimplex(4, band, lam).chunks()``, in that order and one value per
-    tuple: a stored table's values, or a generator evaluating them chunk by
-    chunk.  ``terms`` is a list of (weight, four coefficient tables), each
-    table over |m| <= its own band <= band and zero beyond.
+    mult is b4 for kind "b4" and Q = g(xi1) + ... + g(xi4) for kind "q",
+    evaluated once per chunk of ``GridSimplex(4, band, lam).chunks()`` and
+    contracted against every entry before the next chunk.  Each entry is a
+    list of (weight, four coefficient tables), each table over |m| <= its
+    own band <= band and zero beyond.
     """
     simplex = GridSimplex(4, band, lam)
-    terms = [(w, [np.pad(t, band - t.size // 2) for t in slots])
-             for w, slots in terms]
-    total = 0.0 + 0.0j
-    chunks = simplex.chunks()
-    for mult in values:
-        m1, m2, m3, m4 = next(chunks)
-        c = sum(w * s[0][m1 + band] * s[1][m2 + band] * s[2][m3 + band]
-                * s[3][m4 + band] for w, s in terms)
-        total += np.sum(mult * c)
-        del mult, m2, m3, m4, c  # hold one chunk while the next is evaluated
-    return simplex.weight * total
+    batch = [[(w, [np.pad(t, band - t.size // 2) for t in slots])
+              for w, slots in terms] for terms in batch]
+    totals = [0.0 + 0.0j] * len(batch)
+    for m1, m2, m3, m4 in simplex.chunks():
+        xi = (m1 / lam, m2 / lam, m3 / lam, m4 / lam)
+        if kind == "b4":
+            mult = b4_multiplier(sym, xi, law)
+        else:
+            mult = sym.g(xi[0]) + sym.g(xi[1]) + sym.g(xi[2]) + sym.g(xi[3])
+        for i, terms in enumerate(batch):
+            c = sum(w * s[0][m1 + band] * s[1][m2 + band] * s[2][m3 + band]
+                    * s[3][m4 + band] for w, s in terms)
+            totals[i] += np.sum(mult * c)
+        del xi, mult, m2, m3, m4, c  # hold one chunk while the next is evaluated
+    return [simplex.weight * total for total in totals]
 
 
-def _quartic_form(kind, sym, u, law, band, table):
-    """lam^-3 sum_Gamma4 multiplier * the law's slot product of u over
-    |m| <= band (default: the support band): uhat in every slot for the real
-    flow, uhat and conj(uhat(-xi)) alternating for the complex flow."""
+def _quartic_terms(u, law, band):
+    """(band, terms) of the quartic slot product of u over |m| <= band
+    (default: the support band): uhat in every slot for the real flow, uhat
+    and conj(uhat(-xi)) alternating for the complex flow."""
     _check_energy_data(u, law)
     if band is None:
         band = max(_support_band(u), 1)
     tab = _coeff_lookup(u, band)
     bar = tab if law.odd else np.conj(tab[::-1])
-    band, values = _multiplier_values(kind, sym, law, band, u.lam, table)
-    return _gamma4_value(values, [(1.0, [tab, bar, tab, bar])], band, u.lam)
+    return band, [(1.0, [tab, bar, tab, bar])]
 
 
-def e1_correction(sym, u, law, band=None, table=None):
+def e1_corrections(sym, fields, law, band=None):
+    """``e1_correction`` of every field of one scale lam, from one b4 pass
+    over the widest of their bands.  Fields sharing a band get the values of
+    single calls exactly; a field summed over a wider band than its own
+    agrees to rounding."""
+    lams = {u.lam for u in fields}
+    if len(lams) != 1:
+        raise ValueError(f"a batch needs fields on one scale, got lam {lams}")
+    bands, batch = zip(*(_quartic_terms(u, law, band) for u in fields))
+    sums = _gamma4_sums("b4", sym, law, max(bands), lams.pop(), batch)
+    return [float(total.real) for total in sums]
+
+
+def e1_correction(sym, u, law, band=None):
     """Quartic correction energy with the +1-normalized multiplier; the
-    corrected quantity along the sign-sigma flow is E0 + sigma * E1.
-
-    ``table``: b4 from ``gamma4_table("b4", sym, law, B, u.lam)`` with B at
-    least the summed band, reused across calls; without it b4 is evaluated
-    one chunk at a time and never held for the whole band."""
-    return float(_quartic_form("b4", sym, u, law, band, table).real)
+    corrected quantity along the sign-sigma flow is E0 + sigma * E1.  b4 is
+    evaluated one chunk at a time and never held for the whole band."""
+    return e1_corrections(sym, [u], law, band)[0]
 
 
-def r4_form(sym, u, law, sigma, band=None, table=None):
-    """Symmetrized quartic form: the exact value of d/dt E0 along the flow.
-    ``table``: a reusable kind-"q" ``gamma4_table``, as in e1_correction."""
-    val = 1j * _quartic_form("q", sym, u, law, band, table)
+def _r4_value(total, law, sigma):
     pref = -sigma * TWO_PI_SQ_INV / (6.0 if law.odd else 2.0)
-    return float((pref * val).real)
+    return float((pref * (1j * total)).real)
+
+
+def r4_form(sym, u, law, sigma, band=None):
+    """Symmetrized quartic form: the exact value of d/dt E0 along the flow."""
+    band, terms = _quartic_terms(u, law, band)
+    return _r4_value(_gamma4_sums("q", sym, law, band, u.lam, [terms])[0],
+                     law, sigma)
 
 
 def e0_time_derivative(sym, u, law, sigma, band=None):
@@ -565,44 +531,41 @@ def e0_time_derivative(sym, u, law, sigma, band=None):
     return float(2.0 * np.sum(a * (np.conj(u.coeffs) * nhat).real) / g.lam)
 
 
-def _r6_band(u, band):
-    """Lattice band of r6_form: the support band, widened to the cube modes
-    that the flow truncated to ``band`` keeps."""
-    support = _support_band(u)
-    return max(support, 1, min(band, 3 * support))
-
-
-def r6_form(sym, u, law, band=None, table=None):
-    """Sextic remainder: the exact value of d/dt (E0 + sigma E1) along the
-    flow whose nonlinearity is truncated to ``band`` (default: the
-    integrator's dealiased band).  Computed by contracting three slots
-    through the exact cubic convolution: weight * i * b4 * xi_s times the
-    slot product, with the cube and its frequency xi_s in slot s.  R6 and b4
-    do not depend on sigma (sigma^2 = 1), so neither does this form.
-
-    ``table``: b4 from ``gamma4_table("b4", sym, law, B, u.lam)`` with B at
-    least ``_r6_band(u, band)``, as in e1_correction."""
+def _r6_terms(u, law, band):
+    """(lattice band, terms) of r6_form for the flow truncated to ``band``:
+    the lattice is the support band, widened to the cube modes that flow
+    keeps."""
     _check_energy_data(u, law)
     g = u.geometry
-    if band is None:
-        band = dealias_band(g)
     npad = 4 * g.grid_size
     cube = cubic_coeffs(u.coeffs, g.mvals % npad, npad, g.period, not law.odd)
-    top = min(band, 3 * _support_band(u))  # cube modes the flow keeps
-    w_band = _r6_band(u, band)
+    support = _support_band(u)
+    top = min(band, 3 * support)  # cube modes the flow keeps
+    w_band = max(support, 1, top)
     wtab = np.zeros(2 * w_band + 1, dtype=complex)
     m = np.arange(-top, top + 1)
     wtab[m + w_band] = cube[m % npad]
     utab = _coeff_lookup(u, w_band)
     xi = np.arange(-w_band, w_band + 1) / u.lam
     if law.odd:
-        terms = [(4.0 / 3.0, [utab, utab, utab, xi * wtab])]
-    else:
-        bar = np.conj(utab[::-1])
-        terms = [(2.0, [xi * wtab, bar, utab, bar]),
-                 (2.0, [utab, xi * np.conj(wtab[::-1]), utab, bar])]
-    lattice, values = _multiplier_values("b4", sym, law, w_band, u.lam, table)
-    return float((1j * _gamma4_value(values, terms, lattice, u.lam)).real)
+        return w_band, [(4.0 / 3.0, [utab, utab, utab, xi * wtab])]
+    bar = np.conj(utab[::-1])
+    return w_band, [(2.0, [xi * wtab, bar, utab, bar]),
+                    (2.0, [utab, xi * np.conj(wtab[::-1]), utab, bar])]
+
+
+def r6_form(sym, u, law, band=None):
+    """Sextic remainder: the exact value of d/dt (E0 + sigma E1) along the
+    flow whose nonlinearity is truncated to ``band`` (default: the
+    integrator's dealiased band).  Computed by contracting three slots
+    through the exact cubic convolution: weight * i * b4 * xi_s times the
+    slot product, with the cube and its frequency xi_s in slot s.  R6 and b4
+    do not depend on sigma (sigma^2 = 1), so neither does this form."""
+    if band is None:
+        band = dealias_band(u.geometry)
+    lattice, terms = _r6_terms(u, law, band)
+    total = _gamma4_sums("b4", sym, law, lattice, u.lam, [terms])[0]
+    return float((1j * total).real)
 
 
 def r6_enumerated(sym, u, law, band=None):
@@ -672,9 +635,9 @@ def cancellation_check(traj, sym, band=None):
     times; R6 is taken for the flow truncated to ``band`` (default: the
     dealiased band).
 
-    The b4 and Q tables are built once, for the widest ``_r6_band`` over the
-    snapshots (at least every support band), and each snapshot's E1, R4 and
-    R6 contract against them.
+    One b4 pass gives every snapshot's E1 and R6 and one Q pass every R4,
+    both over the widest R6 lattice band of the snapshots (at least every
+    support band).
 
     Returns a dict with the two max absolute discrepancies and the scales
     (max |R4|, max |R6|) for relative reporting, the series (t, E0, E1, R4,
@@ -694,18 +657,16 @@ def cancellation_check(traj, sym, band=None):
     lam = fields[0].lam
     if band is None:
         band = dealias_band(fields[0].geometry)
-    lattice = max(_r6_band(u, band) for u in fields)
-    b4 = gamma4_table("b4", sym, law, lattice, lam)
-    q = gamma4_table("q", sym, law, lattice, lam)
-    e0s = np.empty(n)
-    e1s = np.empty(n)
-    r4s = np.empty(n)
-    r6s = np.empty(n)
-    for i, u in enumerate(fields):
-        e0s[i] = e0_energy(sym, u, law)
-        e1s[i] = e1_correction(sym, u, law, table=b4)
-        r4s[i] = r4_form(sym, u, law, sigma, table=q)
-        r6s[i] = r6_form(sym, u, law, band=band, table=b4)
+    quartic = [_quartic_terms(u, law, None)[1] for u in fields]
+    sextic = [_r6_terms(u, law, band) for u in fields]
+    lattice = max(w_band for w_band, _ in sextic)
+    b4 = _gamma4_sums("b4", sym, law, lattice, lam,
+                      quartic + [terms for _, terms in sextic])
+    q = _gamma4_sums("q", sym, law, lattice, lam, quartic)
+    e0s = np.array([e0_energy(sym, u, law) for u in fields])
+    e1s = np.array([float(total.real) for total in b4[:n]])
+    r4s = np.array([_r4_value(total, law, sigma) for total in q])
+    r6s = np.array([float((1j * total).real) for total in b4[n:]])
     idx, d0 = _fd_derivative(e0s, dt)
     _, dc = _fd_derivative(e0s + sigma * e1s, dt)
     derivs = np.full((2, n), np.nan)

@@ -403,14 +403,14 @@ def boundary_bound(seed=106, count=12):
     sym = en.DyadicSymbol.from_exponent(0.3)
     law = ev.BENJAMIN_ONO
 
-    def ratio(u, band=None, table=None):
-        return abs(en.e1_correction(sym, u, law, band, table)) / (
-            u.l2_norm() ** 2 * en.e0_energy(sym, u, law)
-        )
+    def ratios(fields, band=None):
+        e1s = en.e1_corrections(sym, fields, law, band)
+        return [abs(e1) / (u.l2_norm() ** 2 * en.e0_energy(sym, u, law))
+                for e1, u in zip(e1s, fields)]
 
     # one continuum function family, evaluated at three truncations: the
-    # spread measures discretization dependence, not sampling noise; each
-    # truncation's b4 table serves every draw and is dropped before the next
+    # spread measures discretization dependence, not sampling noise; one b4
+    # pass per truncation serves every draw, one chunk at a time
     base = sp.TorusGeometry(1.0, 256)
     draws = [sp.random_field(base, rng, band=85, real=True, decay=1.5) * 0.2
              for _ in range(count)]
@@ -419,19 +419,17 @@ def boundary_bound(seed=106, count=12):
         g = sp.TorusGeometry(1.0, m)
         band = min(85, m // 2 - 1)
         ms = g.mvals[np.abs(g.mvals) <= band]
-        table = en.gamma4_table("b4", sym, law, band, g.lam)
-        per_m[m] = []
+        fields = []
         for u_full in draws:
             tab = np.zeros(m, dtype=complex)
             tab[ms % m] = u_full.coeffs[ms % 256]
-            per_m[m].append(ratio(sp.SpectralField(g, tab, real=True), band,
-                                  table))
-        del table
+            fields.append(sp.SpectralField(g, tab, real=True))
+        per_m[m] = ratios(fields, band)
     consts = {m: max(r, default=0.0) for m, r in per_m.items()}
     spread = max([1.0] + [max(r) / min(r) for r in zip(*per_m.values())])
     u = sp.random_field(sp.TorusGeometry(1.0, 64), rng, band=5, real=True) * 0.2
-    r1 = ratio(u)
-    amp_dev = abs(r1 - ratio(u * 3.7)) / r1
+    r1, r2 = ratios([u, u * 3.7])
+    amp_dev = abs(r1 - r2) / r1
     return ScenarioResult(
         {"constants": consts, "spread": spread, "amplitude_deviation": amp_dev},
         [("spread", spread, 1.5), ("amplitude_deviation", amp_dev, 1e-12)],
@@ -689,8 +687,11 @@ def parse_config(cfg):
     the scenario's section are the keyword parameters of its criterion
     function, typed by their defaults.  A seed must be at least 0, every
     other integer at least 1, s above 1/4 and every t_final and size
-    positive, all finite; anything else raises ConfigError naming the
-    offending field."""
+    positive, all finite.  Every grid_size must be a power of two of at
+    least 8, for every criterion: M = 4 has no dyadic block 2, which
+    criterion 3's symbol needs, and leaves criterion 4 band-1 data, whose
+    residuals vanish and leave no order to fit.  Anything else raises
+    ConfigError naming the offending field."""
     if not cfg.has_section("run"):
         raise ConfigError("missing section [run]")
     if not cfg.has_option("run", "scenario"):
@@ -722,6 +723,9 @@ def parse_config(cfg):
             sp.TorusGeometry(lam, m)
         except ValueError as exc:
             raise ConfigError(f"bad value for {name}.{key}: {exc}") from exc
+    if params.get("grid_size", 8) < 8:
+        raise ConfigError(
+            f"{name}.grid_size must be at least 8, got {params['grid_size']}")
     return name, run["seed"], run["output_dir"], params
 
 
@@ -733,12 +737,12 @@ def validate_config(cfg):
 def run_scenario(cfg):
     """Execute the configured scenario; returns (exit status, result)."""
     name, seed, output_dir, params = parse_config(cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = SCENARIOS[name](seed=seed, **params)
     os.makedirs(output_dir, exist_ok=True)
     for fname, write in result.exports.items():
         write(os.path.join(output_dir, fname))
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     emit_report(
         result.reports,
         os.path.join(output_dir, f"{name}.csv"),

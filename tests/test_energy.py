@@ -3,6 +3,7 @@ import pytest
 
 from toruslab import energy as en
 from toruslab import evolution as ev
+from toruslab import runner
 from toruslab import spectral as sp
 from toruslab.bumps import next_pow2
 
@@ -416,64 +417,52 @@ def test_cancellation_check_rejects_nonuniform_times(sym):
 
 
 # ---------------------------------------------------------------------------
-# Gamma4 multiplier tables
+# batched Gamma4 passes
 
 
 def _rel(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
 
 
-def test_gamma4_tables_match_streamed_forms(sym):
-    """Contracting a stored table agrees with the chunk-by-chunk evaluation,
-    on both laws, for a table over the field's own band and one wider."""
+def test_e1_corrections_batch_equals_single_fields(sym):
+    """One b4 pass over a batch gives each field's single-call E1: exactly
+    when the fields share a band, and to rounding when a narrower field is
+    summed over a wider neighbour's band; on both laws at lam 1 and 2."""
     for lam in (1.0, 2.0):
         for real, law in ((True, BO), (False, NLS)):
-            u = rand_field(m=32, band=5, real=real, amp=0.5, seed=40, lam=lam)
-            for tband in (10, 13):   # 10 = the r6 band of this field
-                b4 = en.gamma4_table("b4", sym, law, tband, lam)
-                q = en.gamma4_table("q", sym, law, tband, lam)
-                assert _rel(en.e1_correction(sym, u, law, table=b4),
-                            en.e1_correction(sym, u, law)) <= 1e-12
-                assert _rel(en.r4_form(sym, u, law, -1, table=q),
-                            en.r4_form(sym, u, law, -1)) <= 1e-12
-                assert _rel(en.r6_form(sym, u, law, table=b4),
-                            en.r6_form(sym, u, law)) <= 1e-12
-                assert _rel(en.e1_correction(sym, u, law, band=3, table=b4),
-                            en.e1_correction(sym, u, law, band=3)) <= 1e-12
+            same = [rand_field(m=32, band=5, real=real, amp=0.5, seed=seed,
+                               lam=lam) for seed in (40, 41, 42)]
+            assert en.e1_corrections(sym, same, law) == [
+                en.e1_correction(sym, u, law) for u in same]
+            assert en.e1_corrections(sym, same, law, band=8) == [
+                en.e1_correction(sym, u, law, band=8) for u in same]
+            mixed = same + [rand_field(m=32, band=9, real=real, amp=0.5,
+                                       seed=43, lam=lam)]
+            for u, e1 in zip(mixed, en.e1_corrections(sym, mixed, law)):
+                assert _rel(e1, en.e1_correction(sym, u, law)) <= 1e-12
 
 
-def test_gamma4_table_must_fit(sym):
-    u = rand_field(m=32, band=8, amp=0.5, seed=41)
-    b4 = en.gamma4_table("b4", sym, BO, 10, 1.0)
-    misfits = [
-        lambda: en.e1_correction(sym, u, BO, band=12, table=b4),
-        lambda: en.r6_form(sym, u, BO,
-                           table=en.gamma4_table("b4", sym, BO, 8, 1.0)),
-        lambda: en.e1_correction(sym, u, BO,
-                                 table=en.gamma4_table("b4", sym, BO, 10, 2.0)),
-        lambda: en.e1_correction(sym, u, BO,
-                                 table=en.gamma4_table("b4", sym, NLS, 10, 1.0)),
-        lambda: en.r4_form(sym, u, BO, 1, table=b4),
-        lambda: en.e1_correction(en.DyadicSymbol.from_exponent(0.5), u, BO,
-                                 table=b4),
-    ]
-    for call in misfits:
-        with pytest.raises(ValueError, match="does not fit"):
-            call()
-    with pytest.raises(ValueError):
-        en.gamma4_table("r6", sym, BO, 4, 1.0)
+def test_e1_corrections_rejects_mixed_scales(sym):
+    fields = [rand_field(m=32, band=5, seed=44, lam=lam) for lam in (1.0, 2.0)]
+    with pytest.raises(ValueError, match="one scale"):
+        en.e1_corrections(sym, fields, BO)
 
 
 def test_b4_finite_on_every_gamma4_tuple(sym):
-    """Tables evaluate b4 on every tuple, including the resonant ones and
-    the zero frequency, so it must be finite on all of them."""
+    """A Gamma4 pass evaluates b4 on every tuple of its band, including the
+    resonant ones and the zero frequency, so it must be finite on all of
+    them."""
     for law in (BO, NLS):
         for band in range(1, 13):
             for lam in (1.0, 2.0):
-                table = en.gamma4_table("b4", sym, law, band, lam)
-                vals = np.concatenate(table.values)
-                assert vals.size == en.GridSimplex(4, band, lam).count()
-                assert np.all(np.isfinite(vals))
+                simplex = en.GridSimplex(4, band, lam)
+                evaluated = 0
+                for m1, m2, m3, m4 in simplex.chunks():
+                    vals = en.b4_multiplier(
+                        sym, (m1 / lam, m2 / lam, m3 / lam, m4 / lam), law)
+                    assert np.all(np.isfinite(vals))
+                    evaluated += vals.size
+                assert evaluated == simplex.count()
 
 
 def _cancellation_trajectory(law, nsnap=9):
@@ -514,6 +503,22 @@ def test_cancellation_evaluates_b4_once_per_chunk(sym, monkeypatch):
         calls.clear()
         en.cancellation_check(_cancellation_trajectory(BO, nsnap), sym)
         assert 0 < len(calls) <= 2 * band + 1
+
+
+def test_boundary_bound_evaluates_b4_once_per_chunk(monkeypatch):
+    """Cost guard for criterion 6: one b4 pass per truncation serves every
+    draw (2B + 1 chunks at band B = 31, 63, 85), and one more serves the
+    amplitude pair at its support band of at most 5."""
+    calls = []
+    original = en.b4_multiplier
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(en, "b4_multiplier", counted)
+    runner.boundary_bound(count=2)
+    assert 0 < len(calls) <= sum(2 * b + 1 for b in (31, 63, 85, 5))
 
 
 def test_grid_simplex_d6_count():

@@ -55,6 +55,10 @@ def test_validate_and_errors(tmp_path):
      "conservation.grid_size"),
     ("[run]\nscenario = apriori\n[apriori]\ngrid_size = 2\n",
      "apriori.grid_size"),
+    ("[run]\nscenario = symmetrization\n[symmetrization]\ngrid_size = 4\n",
+     "symmetrization.grid_size"),
+    ("[run]\nscenario = cancellation\n[cancellation]\ngrid_size = 4\n",
+     "cancellation.grid_size"),
     ("[run]\nscenario = spectral_exactness\n[spectral_exactness]\n"
      "lambdas = 1 0.5\n", "spectral_exactness.lambdas"),
     ("[run]\nscenario = spectral_exactness\n[spectral_exactness]\n"
@@ -84,11 +88,17 @@ def test_validate_rejects_unknown_fields(tmp_path, capsys, text, field):
     # validate once accepted each of these configs: unknown names before the
     # parser was derived from the criterion signatures, grid sizes or scales
     # no torus has until they were checked against TorusGeometry, negative
-    # seeds or empty counts until integers were bounded below, and times,
-    # sizes or s outside their ranges or repeated list entries until those
-    # were checked too
+    # seeds or empty counts until integers were bounded below, times, sizes
+    # or s outside their ranges or repeated list entries until those were
+    # checked too, and grid_size = 4, on which criteria 3 and 4 crashed
     assert cli.main(["validate", write_cfg(tmp_path, text)]) == rn.EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["symmetrization", "cancellation"])
+def test_validate_accepts_grid_size_8(tmp_path, scenario):
+    text = f"[run]\nscenario = {scenario}\n[{scenario}]\ngrid_size = 8\n"
+    assert rn.validate_config(rn.load_config(write_cfg(tmp_path, text))) == scenario
 
 
 @pytest.mark.parametrize(
