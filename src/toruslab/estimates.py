@@ -10,10 +10,10 @@ dispersive families share one loop, _family_report, which skips a member
 exactly when its ratio is not finite and positive (a zero denominator gives
 nan) and counts each skip once, as trilinear_ratio does.
 
-The time grid of a family takes sixteen points per 2 pi of the intra-block
-phase spread, and its spatial grid of nx = next_pow2(4 mmax + 8) points
-(_block_nx, mmax the top mode of the data) has at least 4x headroom over the
-data band; for block data at dyadic lam, nx = 8 (mmax + 1).
+The time grid of a block-data family takes sixteen points per 2 pi of the
+intra-block phase spread, and its spatial grid of nx = next_pow2(4 mmax + 8)
+points (_block_nx, mmax the top mode of the data) has at least 4x headroom
+over the data band; for block data at dyadic lam, nx = 8 (mmax + 1).
 The Strichartz and maximal families evaluate free solutions on that
 space-time grid (quadratures of |u|^p are then exact up to rounding).  The
 local smoothing and bilinear families never form it: the bands of |u|^2 and
@@ -230,59 +230,55 @@ def _family_report(name, sweep, lam, block, slope_tol):
 # linear estimates
 
 
-def l4_modulation_ratio(j_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
+def l4_modulation_ratio(j_values, seed=0, count=32, law=SCHROEDINGER,
                         slope_tol=0.1, include_coherent=True):
     """L4 space-time bound for fields on block 3 with modulation support
-    below 2^j: ratio ||u||_L4 / (2^(3j/8) ||u||_L2) on the 2 pi
-    time-periodized grid.
+    below 2^j: ratio ||u||_L4 / (2^(3j/8) ||u||_L2) over one 2 pi period in
+    t and x, for Gaussian modulation profiles plus (by default) a
+    curvature-matched box sample of frequency width 2^(j/2), which realizes
+    the 3j/8 growth.
 
-    Gaussian modulation profiles plus (by default) a curvature-matched box
-    sample of frequency width 2^(j/2), which realizes the 3j/8 growth.
+    u has integer frequencies, omega(m) + r in t and m in x, and an N-point
+    sum of exp(i k t) over a period vanishes for 0 < |k| < N.  So the sums of
+    |u|^2 and |u|^4 are exact on fast_len(D + 1) points per axis, D the top
+    frequency of |u|^4 there: 2 W in t, W = max omega - min omega + 2^(j+1)
+    the width of the tau support, and 4 max|m| = 60 in x.
     """
-    block = 3
-    g = TorusGeometry(lam, bumps.next_pow2(int(16 * 2 ** (block + 1) * lam)))
-    mv = g.mvals
-    sel = block_indicator(g.xi, block) & (np.abs(mv) > 0)
-    msel = np.sort(mv[sel])
-    om = law.omega(msel / lam)
+    modes = _block_lattice(3, 1.0)
+    om = law.omega(modes)
+    nx = bumps.fast_len(4 * int(np.max(np.abs(modes))) + 1)
 
     def members_at(j):
-        nmod = 2**j
-        rmod = np.arange(-nmod, nmod + 1)
-        spread = float(np.max(np.abs(om))) + nmod
-        nt = bumps.next_pow2(int(16 * spread) + 16)
-        nx = bumps.next_pow2(8 * int(np.max(np.abs(msel))) + 8)
-        t = 2.0 * np.pi * np.arange(nt) / nt
+        shape = (modes.size, 2 ** (j + 1) + 1)
         members = []
         for i in range(count):
             rng = sample_rng(seed, 97 * j + i)
-            members.append(
-                rng.standard_normal((msel.size, rmod.size))
-                + 1j * rng.standard_normal((msel.size, rmod.size))
-            )
-        if include_coherent:
-            box = np.zeros((msel.size, rmod.size), dtype=complex)
-            width = max(1, int(round(2.0 ** (j / 2.0) * lam)))
-            pos = np.where(msel > 0)[0][:width]
-            box[np.ix_(pos, np.where(rmod >= 0)[0])] = 1.0
+            members.append(rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+        if include_coherent:  # ones on the lowest positive modes, tau >= omega
+            box = np.zeros(shape, dtype=complex)
+            width = max(1, int(round(2.0 ** (j / 2.0))))
+            box[np.flatnonzero(modes > 0)[:width], 2**j:] = 1.0
             members.append(box)
+        nt = bumps.fast_len(2 * (int(np.ptp(om)) + 2 ** (j + 1)) + 1)
+        t = 2.0 * np.pi * np.arange(nt) / nt
+        profile = np.exp(1j * np.outer(t, np.arange(-2**j, 2**j + 1)))
+        phases = free_rows(1.0, modes, t, law)
+        cell = (2.0 * np.pi) ** 2 / (nt * nx)
 
         def ratio(c):
-            # temporal profile per mode: |tau - omega| <= 2^j exactly
-            prof = np.exp(1j * np.outer(t, rmod)) @ (c.T)  # (nt, nm)
-            vals = synthesize(free_rows(prof, msel / lam, t, law), msel % nx,
-                              nx, g.period)
-            dx = g.period / nx
-            dt = 2.0 * np.pi / nt
-            l2 = np.sqrt(dt * dx * np.sum(np.abs(vals) ** 2))
-            l4 = (dt * dx * np.sum(np.abs(vals) ** 4)) ** 0.25
+            vals = synthesize((profile @ c.T) * phases, modes % nx, nx,
+                              2.0 * np.pi)
+            power = vals.real**2 + vals.imag**2
+            l2 = np.sqrt(cell * np.sum(power))
             if l2 == 0.0:
                 return np.nan
+            l4 = (cell * np.sum(power**2)) ** 0.25
             return l4 / (2.0 ** (3.0 * j / 8.0) * l2)
 
         return members, ratio
 
-    return _family_report("l4_modulation", j_values, lam, members_at,
+    return _family_report("l4_modulation", j_values, 1.0, members_at,
                           slope_tol)
 
 

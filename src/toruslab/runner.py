@@ -579,13 +579,12 @@ def _apriori_trajectories(seed, size, m, t_final, count):
                                dt=4.0 * ev.default_dt(problems[0]))
 
 
-def apriori_run(seed, s=0.3, size=0.05, m=256, t_final=1.0, count=10,
-                eps_tilde=None):
+def apriori_run(seed, s=0.3, size=0.05, m=256, t_final=1.0, count=10):
     """Per sample, sup_[-T, T] ||u||_{H^s} / ||u0||_{H^s} and the energy
     constant E^2 / (||u0||_{H^s}^2 + T F^6), E at s and F at s - eps_tilde
-    (16 tau bins) each from one ``assembled_norm`` call over all samples."""
-    if eps_tilde is None:
-        eps_tilde = min(0.05, (s - 0.25) / 2.0)
+    with eps_tilde = min(0.05, (s - 1/4) / 2) (16 tau bins), each from one
+    ``assembled_norm`` call over all samples."""
+    eps_tilde = min(0.05, (s - 0.25) / 2.0)
     trajs = _apriori_trajectories(seed, size, m, t_final, count)
     hs0 = [sp.sobolev_norm(traj.problem.u0, s) for traj in trajs]
     ratios = [_sobolev_sup(traj, s) / h for traj, h in zip(trajs, hs0)]

@@ -24,13 +24,16 @@ nonlinearity norm).  That equals the lag sum over |d| < n of K_j[d] A[d], with
 the lag kernel K_j = Re fft(W_j) and the mode-summed autocorrelation
 A[d] = sum_modes sum_i g_(i+d) conj(g_i), exact from an FFT of length
 L = min(next_pow2(2n + 8), npad): 256 against npad = 4096 at k = 6.  A call
-builds the kernels once per npad for all its fields and reduces the windows
-in (windows, L, modes) batches of at most CHUNK_BYTES.  The lag sum cancels
-down from the window's power, so an annulus holding a tiny share of it loses
-accuracy; the m-th difference of g (m < 4) tilts that power,
-(4 sin^2(tau dt / 2))^m |ghat|^2, to high tau, and each annulus takes the form
-with the smallest rounding bound A_m[0] |K_j,m|_1.  A near-empty annulus can
-still sum to a tiny negative, clamped to zero.
+builds the kernels once, on the npad of its longest window, for all its
+windows and fields (with tau_bins >= 3 and dt <= 2^-k the bin floor
+2 pi tau_bins / (2^k dt) exceeds four window lengths, so every window would
+pick that npad anyway), and reduces the windows in (windows, L, modes)
+batches of at most CHUNK_BYTES.  The lag sum cancels down from the window's
+power, so an annulus holding a tiny share of it loses accuracy; the m-th
+difference of g (m < 4) tilts that power, (4 sin^2(tau dt / 2))^m |ghat|^2,
+to high tau, and each annulus takes the form with the smallest rounding
+bound A_m[0] |K_j,m|_1.  A near-empty annulus can still sum to a tiny
+negative, clamped to zero.
 """
 
 from dataclasses import dataclass
@@ -155,38 +158,34 @@ def _modulation_sup(fields, rows, k, b, law, resolvent, tau_bins):
     nus = {i: f.values[:, c] * demod[:, c]
            for i, (f, c) in enumerate(zip(fields, cols)) if np.any(c)}
     best = [0.0] * len(fields)
-    if not nus:
+    if not nus or not rows:
         return best
+    longest = max(w.size for _, w in rows)
     floor = int(np.ceil(2.0 * np.pi / (2.0**k / tau_bins * dt)))
-    groups = {}
-    for lo, w in rows:
-        npad = bumps.next_pow2(max(4 * w.size, floor))
-        groups.setdefault(npad, []).append((lo, w))
+    npad = bumps.next_pow2(max(4 * longest, floor))
+    nlag = min(bumps.next_pow2(2 * (longest + DIFFERENCE_FORMS)), npad)
+    lags = np.fft.fftfreq(nlag, 1.0 / nlag).astype(int) % npad
     jweights = 2.0 ** (b * np.arange(bumps.max_resolved_j(np.pi / dt) + 1))
-    for npad, group in groups.items():
-        nmax = max(w.size for _, w in group) + DIFFERENCE_FORMS
-        nlag = min(bumps.next_pow2(2 * nmax), npad)
-        lags = np.fft.fftfreq(nlag, 1.0 / nlag).astype(int) % npad
-        kern, norm1 = _lag_kernels(npad, lags, dt, k, jweights.size, resolvent)
-        kern *= 2.0 * np.pi * dt / f0.geometry.lam
-        diff = 4.0 * np.sin(np.pi * np.arange(nlag) / nlag) ** 2
-        tilt = diff ** np.arange(DIFFERENCE_FORMS)[:, None]
-        for i, nu in nus.items():
-            per = max(1, CHUNK_BYTES // (16 * nlag * nu.shape[1]))
-            for first in range(0, len(group), per):
-                chunk = group[first:first + per]
-                seg = np.zeros((len(chunk), nlag, nu.shape[1]), dtype=complex)
-                for n, (lo, w) in enumerate(chunk):
-                    seg[n, :w.size] = nu[lo:lo + w.size] * w[:, None]
-                spec = np.fft.fft(seg, axis=1)
-                power = np.sum(spec.real**2 + spec.imag**2, axis=2)
-                acf = np.fft.ifft(power * tilt[:, None, :], axis=-1).real
-                err = acf[..., :1] * norm1[:, None, :]
-                err[1:, :, 0] = np.inf  # eta_0 has no difference form
-                form = np.argmin(err, axis=0)[None]
-                blocks = np.take_along_axis(acf @ kern, form, axis=0)[0]
-                norms = np.sqrt(np.maximum(blocks, 0.0)) @ jweights
-                best[i] = max(best[i], float(np.max(norms)))
+    kern, norm1 = _lag_kernels(npad, lags, dt, k, jweights.size, resolvent)
+    kern *= 2.0 * np.pi * dt / f0.geometry.lam
+    diff = 4.0 * np.sin(np.pi * np.arange(nlag) / nlag) ** 2
+    tilt = diff ** np.arange(DIFFERENCE_FORMS)[:, None]
+    for i, nu in nus.items():
+        per = max(1, CHUNK_BYTES // (16 * nlag * nu.shape[1]))
+        for first in range(0, len(rows), per):
+            chunk = rows[first:first + per]
+            seg = np.zeros((len(chunk), nlag, nu.shape[1]), dtype=complex)
+            for n, (lo, w) in enumerate(chunk):
+                seg[n, :w.size] = nu[lo:lo + w.size] * w[:, None]
+            spec = np.fft.fft(seg, axis=1)
+            power = np.sum(spec.real**2 + spec.imag**2, axis=2)
+            acf = np.fft.ifft(power * tilt[:, None, :], axis=-1).real
+            err = acf[..., :1] * norm1[:, None, :]
+            err[1:, :, 0] = np.inf  # eta_0 has no difference form
+            form = np.argmin(err, axis=0)[None]
+            blocks = np.take_along_axis(acf @ kern, form, axis=0)[0]
+            norms = np.sqrt(np.maximum(blocks, 0.0)) @ jweights
+            best[i] = max(best[i], float(np.max(norms)))
     return best
 
 
@@ -198,7 +197,9 @@ def xk_norm(field, k, law, b=0.5, tau_bins=TAU_BINS_PER_WINDOW_SCALE):
 
 def window_centers(support, k):
     """Window-center grid: spacing 2^-k / 4, covering the support plus twice
-    the window scale 2^-k (one full window width) on each side."""
+    the window scale 2^-k on each side.  That margin exceeds the half-width
+    OUTER 2^-k = 1.6 2^-k of a window (which spans 3.2 2^-k), so every
+    window that meets the support is centered within the grid's span."""
     scale = 2.0**-k
     margin = 2.0 * scale
     step = scale * 0.25

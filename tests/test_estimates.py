@@ -176,6 +176,41 @@ def assert_matches_oracle(point, ratios):
     assert abs(point.mean_ratio - want_mean) <= 1e-12 * want_mean
 
 
+def oracle_l4_ratios(seed, count, j, law):
+    """Ratios ||u||_L4 / (2^(3j/8) ||u||_L2) of the members of
+    l4_modulation_ratio at j (count Gaussian profiles, then the box) on an
+    oversampled grid of next_pow2(int(16 (max|omega| + 2^j)) + 16) times by
+    128 points (the grid that family used before its grid rule)."""
+    g = TorusGeometry(1.0, 256)
+    msel = np.sort(g.mvals[block_indicator(g.xi, 3)])
+    om = law.omega(msel)
+    rmod = np.arange(-2**j, 2**j + 1)
+    nt = bumps.next_pow2(int(16 * (np.max(np.abs(om)) + 2**j)) + 16)
+    nx = 128
+    t = 2.0 * np.pi * np.arange(nt) / nt
+    shape = (msel.size, rmod.size)
+    members = []
+    for i in range(count):
+        rng = es.sample_rng(seed, 97 * j + i)
+        members.append(rng.standard_normal(shape)
+                       + 1j * rng.standard_normal(shape))
+    box = np.zeros(shape, dtype=complex)
+    width = max(1, int(round(2.0 ** (j / 2.0))))
+    box[np.ix_(np.where(msel > 0)[0][:width], np.where(rmod >= 0)[0])] = 1.0
+    members.append(box)
+    ratios = []
+    for c in members:
+        grid = np.zeros((nt, nx), dtype=complex)
+        grid[:, msel % nx] = ((np.exp(1j * np.outer(t, rmod)) @ c.T)
+                              * np.exp(1j * np.outer(t, om)))
+        vals = np.fft.ifft(grid, axis=1) * nx / (2.0 * np.pi)
+        cell = (2.0 * np.pi / nt) * (2.0 * np.pi / nx)
+        l2 = np.sqrt(cell * np.sum(np.abs(vals) ** 2))
+        l4 = (cell * np.sum(np.abs(vals) ** 4)) ** 0.25
+        ratios.append(l4 / (2.0 ** (3.0 * j / 8.0) * l2))
+    return ratios
+
+
 def test_fit_exponent():
     s, i, r = es.fit_exponent([(n, -0.5 * n + 3.0) for n in range(3, 9)])
     assert abs(s + 0.5) < 1e-12 and r < 1e-12
@@ -328,6 +363,17 @@ def test_l4_modulation():
     assert abs(rep.slope) <= 0.1
 
 
+@LAWS
+def test_l4_modulation_matches_grid_oracle(law):
+    """The exact grids of l4_modulation_ratio agree with an oversampled
+    space-time grid at j = 0..6, on Gaussian and box members."""
+    js = range(7)
+    rep = es.l4_modulation_ratio(js, law=law, seed=17, count=2)
+    assert rep.skipped == 0
+    for j, point in zip(js, rep.points):
+        assert_matches_oracle(point, oracle_l4_ratios(17, 2, j, law))
+
+
 def test_conjugation_reflection_identity():
     """Conjugating the data reflects the time interval exactly: the ratio of
     conj(u0) over [0, d] equals the ratio of u0 over [-d, 0]."""
@@ -358,6 +404,14 @@ def test_amplitude_invariance_of_ratios():
     prof2 = [3.0 * p for p in prof]
     r2 = cfg.lhs_norm(prof2) / np.prod(cfg.rhs_factor_norms(prof2))
     assert abs(r1 - r2) < 1e-12 * r1
+
+
+# one mbo and two dnls configs whose lhs_norm measures each grid budget
+BUDGET_CASES = pytest.mark.parametrize("cls_name, ks, law, conj", [
+    ("high_high_high_to_low", (5, 5, 5, 1), BENJAMIN_ONO, False),
+    ("low_low_low_to_low", (1, 1, 4, 4), SCHROEDINGER, True),
+    ("high_high_high_to_high", (5, 5, 5, 5), SCHROEDINGER, True),
+])
 
 
 class TestTrilinear:
@@ -493,11 +547,7 @@ class TestTrilinear:
                 narrow += 2 * np.max(table.hi - table.lo + 1) < table.ngrid
         assert narrow > 0
 
-    @pytest.mark.parametrize("cls_name, ks, law, conj", [
-        ("high_high_high_to_low", (5, 5, 5, 1), BENJAMIN_ONO, False),
-        ("low_low_low_to_low", (1, 1, 4, 4), SCHROEDINGER, True),
-        ("high_high_high_to_high", (5, 5, 5, 5), SCHROEDINGER, True),
-    ])
+    @BUDGET_CASES
     def test_tau_bin_budget(self, monkeypatch, cls_name, ks, law, conj):
         """The pinned TRILINEAR_TAU_BINS = 8 stays within 3e-2 relative of
         a 4x finer spike grid for one Gaussian profile (measured -4.6e-4,
@@ -513,6 +563,21 @@ class TestTrilinear:
                                      conjugate_middle=conj)
             lhs[bins] = cfg.lhs_norm(cfg.profiles(es.sample_rng(10, 0)))
         assert abs(lhs[8] - lhs[32]) <= 3e-2 * lhs[32]
+
+    @BUDGET_CASES
+    def test_reach_budget(self, cls_name, ks, law, conj):
+        """The pinned tau-grid reach 120 2^k4 beyond the spike range stays
+        within 1e-5 relative of four times that reach for one Gaussian
+        profile (measured -8.9e-11, -3.8e-7 and -6.0e-9 in these three
+        cases).  That moves log2 max_ratio, and so the slope of a sweep, by
+        at most 1.5e-5, next to the thinnest criterion-9 margin, 0.115."""
+        cfg = es.TrilinearConfig(cls_name, ks, law=law, conjugate_middle=conj)
+        prof = cfg.profiles(es.sample_rng(10, 0))
+        pinned = cfg.lhs_norm(prof)
+        cfg.reach *= 4
+        cfg.tau_table = cfg.build_tau_table()
+        wide = cfg.lhs_norm(prof)
+        assert abs(pinned - wide) <= 1e-5 * wide
 
     def test_factor_norm_factorization(self):
         """The factored F-norm equals the generic windowed norm."""
