@@ -11,15 +11,11 @@ from toruslab.estimates import (
     maximal_ratio,
     smoothing_grid_operator_norm,
     smoothing_ratio,
-    strichartz_ratio,
 )
 
 import numpy as np
 
 count = 12  # enough for a demo; the acceptance suite uses 64
-
-rep = strichartz_ratio(6, 6, [3, 4, 5, 6], count=count, seed=0)
-print(f"shorttime L6 Strichartz     slope {rep.slope:+.3f} (predict 0)")
 
 rep = bilinear_ratio([5, 6, 7], 1, count=count, seed=0)
 print(f"bilinear (normalized)       slope {rep.slope:+.3f} (raw -1/2)")

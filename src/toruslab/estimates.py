@@ -5,7 +5,7 @@ Every measurement returns an EstimateReport holding per-configuration max and
 mean left/right ratios, the least-squares slope of log2(max ratio) against
 the sweep coordinate, and a verdict comparing the slope to its prediction.
 Reports are pure functions of (seed, configuration): samples are drawn from
-per-index generators, so enlarging an ensemble extends it.  The five
+per-index generators, so enlarging an ensemble extends it.  The four
 dispersive families share one loop, _family_report, which skips a member
 exactly when its ratio is not finite and positive (a zero denominator gives
 nan) and counts each skip once, as trilinear_ratio does.
@@ -14,14 +14,17 @@ The time grid of a block-data family takes sixteen points per 2 pi of the
 intra-block phase spread, and its spatial grid of nx = next_pow2(4 mmax + 8)
 points (_block_nx, mmax the top mode of the data) has at least 4x headroom
 over the data band; for block data at dyadic lam, nx = 8 (mmax + 1).
-The Strichartz and maximal families evaluate free solutions on that
-space-time grid (quadratures of |u|^p are then exact up to rounding).  The
-local smoothing and bilinear families never form it: the bands of |u|^2 and
-uv lie below nx/2, so their spatial values and sums are exact finite sums
-over the coefficient lattice (discrete Parseval).  Smoothing contracts each
-member's coefficient pairs with a per-block Gram table of the time
-quadrature and synthesizes one nx-point row; bilinear sums the squared
-product coefficients at each time.
+No family forms the whole space-time grid of the two.  The bilinear,
+maximal and local smoothing families build block n's lattice and its phase
+table exp(i t omega_m) once and share them among the block's members.  The
+bands of |u|^2 and uv lie below nx/2, so their spatial values and sums are
+exact finite sums over the coefficient lattice (discrete Parseval).
+Smoothing contracts each member's coefficient pairs with a per-block Gram
+table of the time quadrature and synthesizes one nx-point row; bilinear
+sums the squared product coefficients at each time; maximal synthesizes
+the free solution in blocks of time rows of at most CHUNK_BYTES and keeps
+the running sup over t of |u(t, x)|.  The L4 family sums exactly on grids of
+its own (see l4_modulation_ratio).
 
 The trilinear nonlinearity norm uses the fact that a product of windowed
 free solutions is a finite sum of modulated copies of one smooth profile:
@@ -155,7 +158,9 @@ def _block_members(seed, count, n, lam, coherent):
 
 
 def free_solution_grid(u0, law, times, nx):
-    """Physical samples of exp(i t omega) u0 on an nx-point spatial grid."""
+    """Physical samples of exp(i t omega) u0 on an nx-point spatial grid:
+    the whole space-time grid, which no family forms.  The tests use it as
+    the grid oracle of the lattice and streamed routes."""
     g = u0.geometry
     nz = np.abs(u0.coeffs) > 0.0
     mv = g.mvals[nz]
@@ -282,40 +287,6 @@ def l4_modulation_ratio(j_values, seed=0, count=32, law=SCHROEDINGER,
                           slope_tol)
 
 
-def admissible(q, p):
-    return (
-        2.0 <= q <= np.inf
-        and 2.0 <= p < np.inf
-        and abs(2.0 / q + 1.0 / p - 0.5) < 1e-12
-    )
-
-
-def strichartz_ratio(q, p, n_values, lam=1.0, seed=0, count=32,
-                     law=SCHROEDINGER, slope_tol=0.1, include_coherent=True):
-    """Shorttime Strichartz ratio ||e^{it d_xx} u0||_{L^q([0,2^-n], L^p)}
-    divided by ||u0||_L2, for admissible (q, p); predicted slope 0.
-
-    The ensemble is Gaussian block data plus (by default) the coherent
-    flat-coefficient candidate, which carries the sup-type behaviour."""
-    if not admissible(q, p):
-        raise ValueError(f"({q}, {p}) is not an admissible shorttime pair")
-
-    def members_at(n):
-        times = _time_grid(n)
-
-        def ratio(u0):
-            vals = free_solution_grid(u0, law, times, _block_nx(u0))
-            lp = lebesgue_norm(vals, lam, p)
-            if q == np.inf:
-                return float(np.max(lp)) / u0.l2_norm()
-            return float(np.trapezoid(lp**q, times) ** (1.0 / q)) / u0.l2_norm()
-
-        return _block_members(seed, count, n, lam, include_coherent), ratio
-
-    return _family_report(f"strichartz_q{q}_p{p}", n_values, lam, members_at,
-                          slope_tol)
-
-
 def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
                    slope_tol=0.15, include_coherent=True):
     """Bilinear shorttime bound: ||e^{itd_xx}u0 e^{itd_xx}v0||_{L2 L2} over
@@ -361,23 +332,33 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
     return _family_report("bilinear", n_values, lam, members_at, slope_tol)
 
 
-def _maximal_norm(u0, law, times):
-    """||u||_{L4_x Linf_t} of the free solution over the time grid."""
-    vals = free_solution_grid(u0, law, times, _block_nx(u0))
-    return float(lebesgue_norm(np.max(np.abs(vals), axis=0), u0.lam, 4))
-
-
 def maximal_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
                   slope_tol=0.15, include_coherent=True):
     """Maximal function bound ||u||_{L4_x Linf_t([0, 2^-n])} against
     N^(1/4) ||u0||; predicted residual slope 0 after normalization (the raw
-    ratio then grows at the predicted quarter power)."""
+    ratio then grows at the predicted quarter power).
+
+    The phase table of block n is built once and shared by its members.
+    Each member's free solution is synthesized on the nx = _block_nx(u0)
+    grid in blocks of time rows of at most CHUNK_BYTES, and only the running
+    sup over t of |u(t, x)| is kept; no whole space-time grid is formed.
+    """
 
     def members_at(n):
-        times = _time_grid(n)
+        modes = _block_lattice(n, lam)
+        phases = free_rows(1.0, modes / lam, _time_grid(n), law)
 
         def ratio(u0):
-            return _maximal_norm(u0, law, times) / (2.0 ** (n / 4.0) * u0.l2_norm())
+            g = u0.geometry
+            rows = u0.coeffs[modes % g.grid_size] * phases
+            nx = _block_nx(u0)
+            per = max(1, CHUNK_BYTES // (16 * nx))
+            sup = np.zeros(nx)
+            for lo in range(0, rows.shape[0], per):
+                vals = synthesize(rows[lo:lo + per], modes % nx, nx, g.period)
+                np.maximum(sup, np.max(np.abs(vals), axis=0), out=sup)
+            return (float(lebesgue_norm(sup, lam, 4))
+                    / (2.0 ** (n / 4.0) * u0.l2_norm()))
 
         return _block_members(seed, count, n, lam, include_coherent), ratio
 

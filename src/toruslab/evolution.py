@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import fast_len
-from .spectral import (SpectralField, TorusGeometry, _negation_index,
-                       cubic_coeffs)
+from .spectral import SpectralField, TorusGeometry, cubic_coeffs
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -266,13 +265,6 @@ def conserved_energy(u, sigma):
     dx = g.period / s.shape[0]
     quart = float(dx * np.sum(s**4))
     return quad - sigma * quart / 12.0
-
-
-def reflect(u):
-    """Spatial reflection x -> -x (coefficient index negation)."""
-    return SpectralField(
-        u.geometry, u.coeffs[_negation_index(u.geometry.grid_size)], real=u.real
-    )
 
 
 def rescale(u, lam_new):

@@ -88,11 +88,6 @@ class SpaceTimeField:
     def xi(self):
         return self.mvals / self.geometry.lam
 
-    def scaled(self, c):
-        return SpaceTimeField(
-            self.geometry, self.mvals, self.tgrid, c * self.values, self.support
-        )
-
     def restrict_block(self, k):
         mask = block_indicator(self.xi, k)
         return SpaceTimeField(

@@ -153,6 +153,18 @@ def oracle_smoothing_norm(u0, law, times):
     return float(np.max(np.sqrt(total)))
 
 
+def oracle_maximal_norm(u0, law, times):
+    """||u||_{L4_x Linf_t} of the free solution on the space-time grid of
+    _block_nx(u0) points (the evaluation the streamed route of maximal_ratio
+    replaced), built in chunks of times."""
+    nx = es._block_nx(u0)
+    sup = 0.0
+    for sl in time_chunks(times):
+        vals = es.free_solution_grid(u0, law, times[sl], nx)
+        sup = np.maximum(sup, np.max(np.abs(vals), axis=0))
+    return float(lebesgue_norm(sup, u0.lam, 4))
+
+
 def oracle_bilinear_ratio(u0, v0, n, law):
     """||u v||_{L2_t L2_x([0, 2^-n])} / (2^(-n/2) ||u0|| ||v0||) with both
     free solutions on the space-time grid of _block_nx(u0, v0) points (the
@@ -252,28 +264,6 @@ def test_grid_operator():
         es.smoothing_grid_operator_norm(1)
 
 
-def test_admissibility():
-    assert es.admissible(np.inf, 2)
-    assert es.admissible(6, 6)
-    assert es.admissible(8, 4)
-    assert not es.admissible(4, np.inf)
-    with pytest.raises(ValueError):
-        es.strichartz_ratio(4, np.inf, [3, 4, 5], count=2)
-
-
-def test_unitary_pair_ratio_one():
-    rep = es.strichartz_ratio(np.inf, 2, [3, 4, 5], count=3, seed=1)
-    for p in rep.points:
-        assert abs(p.max_ratio - 1.0) < 1e-10
-    assert rep.verdict
-
-
-def test_l6_strichartz_slope():
-    rep = es.strichartz_ratio(6, 6, [3, 4, 5, 6, 7], count=6, seed=1)
-    assert abs(rep.slope) <= 0.1
-    assert rep.verdict
-
-
 def test_bilinear():
     with pytest.raises(ValueError):
         es.bilinear_ratio([4], 1, count=2)  # n - k < 4
@@ -302,7 +292,7 @@ def test_maximal():
     c = np.zeros(128, dtype=complex)
     c[9] = 1.0
     u0 = SpectralField(g, c)
-    l4 = es._maximal_norm(u0, SCHROEDINGER, es._time_grid(3))
+    l4 = oracle_maximal_norm(u0, SCHROEDINGER, es._time_grid(3))
     assert abs(l4 / u0.l2_norm() - (2 * np.pi) ** 0.25 / (2 * np.pi) ** 0.5) < 1e-6
 
 
@@ -343,6 +333,22 @@ def test_smoothing_matches_grid_oracle(law, lam):
 
 @LAWS
 @pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_maximal_matches_grid_oracle(law, lam):
+    """The streamed route of maximal_ratio agrees with the sup over the
+    space-time grid on blocks 0, 3 and 8, Gaussian and coherent members."""
+    ns = [0, 3, 8]
+    rep = es.maximal_ratio(ns, lam=lam, law=law, seed=18, count=1)
+    assert rep.skipped == 0
+    for n, point in zip(ns, rep.points):
+        times = es._time_grid(n)
+        ratios = [oracle_maximal_norm(u0, law, times)
+                  / (2.0 ** (n / 4.0) * u0.l2_norm())
+                  for u0 in es._block_members(18, 1, n, lam, True)]
+        assert_matches_oracle(point, ratios)
+
+
+@LAWS
+@pytest.mark.parametrize("lam", [1.0, 2.0])
 def test_bilinear_matches_grid_oracle(law, lam):
     """The lattice route of bilinear_ratio agrees with the space-time grid
     on blocks 5, 6 and 8 against block 1 and on blocks 4, 5 and 6 against
@@ -372,6 +378,25 @@ def test_l4_modulation_matches_grid_oracle(law):
     assert rep.skipped == 0
     for j, point in zip(js, rep.points):
         assert_matches_oracle(point, oracle_l4_ratios(17, 2, j, law))
+
+
+def test_criterion8_families_form_no_space_time_grid(monkeypatch):
+    """No criterion-8 family calls free_solution_grid, the grid oracle of
+    these tests: each evaluates its members on the coefficient lattice or in
+    streamed blocks of time rows."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a criterion-8 family formed a space-time grid")
+
+    monkeypatch.setattr(es, "free_solution_grid", forbidden)
+    reports = [
+        es.bilinear_ratio([5, 6, 7], 1, count=1),
+        es.maximal_ratio([3, 4, 5], count=1),
+        es.smoothing_ratio([3, 4, 5], count=1),
+        es.smoothing_ratio([3, 4, 5], count=1, log_normalized=True),
+        es.l4_modulation_ratio([0, 1, 2], count=1),
+    ]
+    for rep in reports:
+        assert rep.skipped == 0 and np.isfinite(rep.slope), rep.estimate_id
 
 
 def test_conjugation_reflection_identity():

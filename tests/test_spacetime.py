@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -141,8 +143,8 @@ def test_norms_match_oracle_on_fine_time_grids(k, dt_frac):
 def test_norms_match_oracle_on_zero_windows_and_explicit_centers():
     k = 4
     f, _ = block_field(k, seed=60)
-    assert st.fk_norm(f.scaled(0.0), k, law=LAW) == 0.0
-    assert st.nk_norm(f.scaled(0.0), k, law=LAW) == 0.0
+    assert st.fk_norm(replace(f, values=0.0 * f.values), k, law=LAW) == 0.0
+    assert st.nk_norm(replace(f, values=0.0 * f.values), k, law=LAW) == 0.0
     # zero rows for t < 0: every window centred left of -8/5 2^-k is zero
     half = st.SpaceTimeField(f.geometry, f.mvals, f.tgrid,
                              f.values * (f.tgrid >= 0.0)[:, None], f.support)
@@ -175,9 +177,9 @@ def test_eta0_shape():
 
 def test_xk_zero_and_homogeneity():
     f, _ = block_field(3, seed=1)
-    assert st.xk_norm(f.scaled(0.0), 3, law=LAW) == 0.0
+    assert st.xk_norm(replace(f, values=0.0 * f.values), 3, law=LAW) == 0.0
     a = st.xk_norm(f, 3, law=LAW)
-    b = st.xk_norm(f.scaled(2.5), 3, law=LAW)
+    b = st.xk_norm(replace(f, values=2.5 * f.values), 3, law=LAW)
     assert abs(b - 2.5 * a) < 1e-9 * a
 
 
@@ -305,7 +307,7 @@ def test_assembled_norm_batch_equals_single_fields():
         for seed in (3, 4)]
     fields = [st.from_trajectory(traj)
               for traj in ev.evolve_two_sided(problems, 0.3, n_snapshots=97)]
-    fields.append(fields[0].scaled(0.0))
+    fields.append(replace(fields[0], values=0.0 * fields[0].values))
     for kind in ("E", "F", "N"):
         batch = st.assembled_norm(fields, 0.3, kind, 0.25, law=LAW)
         single = [st.assembled_norm([f], 0.3, kind, 0.25, law=LAW)[0]
@@ -349,7 +351,7 @@ def test_linear_shorttime_energy_inequality():
 def test_nk_homogeneity():
     f, _ = block_field(3, seed=21)
     a = st.nk_norm(f, 3, law=LAW)
-    b = st.nk_norm(f.scaled(1.7), 3, law=LAW)
+    b = st.nk_norm(replace(f, values=1.7 * f.values), 3, law=LAW)
     assert abs(b - 1.7 * a) < 1e-9 * a
 
 
