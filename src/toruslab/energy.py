@@ -498,32 +498,27 @@ def _r4_value(total, law, sigma):
     return float((pref * (1j * total)).real)
 
 
-def r4_form(sym, u, law, sigma, band=None):
+def r4_form(sym, u, law, sigma):
     """Symmetrized quartic form: the exact value of d/dt E0 along the flow."""
-    band, terms = _quartic_terms(u, law, band)
+    band, terms = _quartic_terms(u, law, None)
     return _r4_value(_gamma4_sums("q", sym, law, band, u.lam, [terms])[0],
                      law, sigma)
 
 
-def e0_time_derivative(sym, u, law, sigma, band=None):
+def e0_time_derivative(sym, u, law, sigma):
     """Direct pairing d/dt E0 = 2 Re <a uhat, Nhat> under the lattice
     measure, with the flow's pseudospectral nonlinearity (independent
-    evaluation path from the symmetrized form).
-
-    The pairing localizes to the support of uhat, so truncating the
-    nonlinearity to any band containing that support leaves the value
-    unchanged; band=None uses the full cubic range.
+    evaluation path from the symmetrized form) over its full cubic range.
+    The pairing localizes to the support of uhat, so no truncation of the
+    nonlinearity to a band containing that support would change it.
     """
     _check_energy_data(u, law)
     g = u.geometry
     mv = g.mvals
     npad = 4 * g.grid_size
     cube = cubic_coeffs(u.coeffs, mv % npad, npad, g.period, not law.odd)
-    cube_band = 3 * _support_band(u)  # < 3M/2: exact on the 4M grid
-    if band is None:
-        band = cube_band
     nhat = np.zeros(g.grid_size, dtype=complex)
-    sel = np.abs(mv) <= min(band, cube_band)
+    sel = np.abs(mv) <= 3 * _support_band(u)  # < 3M/2: exact on the 4M grid
     xi = g.xi
     factor = sigma * (1j * xi) / (3.0 if law.odd else 1.0)
     nhat[sel] = factor[sel] * cube[mv[sel] % npad]

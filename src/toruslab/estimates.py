@@ -29,15 +29,16 @@ its own (see l4_modulation_ratio).
 The trilinear nonlinearity norm uses the fact that a product of windowed
 free solutions is a finite sum of modulated copies of one smooth profile:
 its modulation spectrum is the interaction spikes convolved with the window
-profile transform of each window center.  Each output mode's
-spikes occupy a short stretch of the tau grid, so they are transformed over
-that stretch only, at a 5-smooth length shared by all rows; the binning,
-the kernel spectra and the annulus weights do not depend on the profiles
-and are tabulated when a TrilinearConfig is built (for displaced spikes or
-other centers, when asked).  The factor F-norms factor into the lattice L2
-of the profile times a window constant per block; a TrilinearConfig
-evaluates the unmodulated constants when it is built and a modulated one
-when asked, and no state is shared between configurations.
+profile transform of each of thirteen fixed window centers.  The classes
+are measured on the unit torus (lam = 1).  Each output mode's spikes occupy
+a short stretch of the tau grid, so they are transformed over that stretch
+only, at a 5-smooth length shared by all rows; the binning, the kernel
+spectra and the annulus weights do not depend on the profiles and are
+tabulated when a TrilinearConfig is built (for displaced spikes, when
+asked).  The factor F-norms factor into the lattice L2 of the profile times
+a window constant per block; a TrilinearConfig evaluates the unmodulated
+constants when it is built and a modulated one when asked, and no state is
+shared between configurations.
 """
 
 from dataclasses import dataclass
@@ -98,8 +99,7 @@ class EstimateReport:
         )
 
 
-def make_report(estimate_id, points, predicted_slope, slope_tol,
-                residual_cap=0.5, skipped=0):
+def make_report(estimate_id, points, predicted_slope, slope_tol, skipped=0):
     slope, intercept, residual = fit_exponent(
         [(p.sweep, np.log2(p.max_ratio)) for p in points]
     )
@@ -108,7 +108,7 @@ def make_report(estimate_id, points, predicted_slope, slope_tol,
         points=tuple(points),
         predicted_slope=predicted_slope,
         slope_tol=slope_tol,
-        residual_cap=residual_cap,
+        residual_cap=0.5,
         slope=slope,
         intercept=intercept,
         residual=residual,
@@ -489,26 +489,28 @@ class TauTable:
 class TrilinearConfig:
     """Precomputed interaction spikes for one block tuple.
 
-    Factors are free solutions shaped by a common temporal bump at the output
-    window scale; the middle factor is conjugated for the Schroedinger
-    (derivative NLS) nonlinearity.  The output functional is the windowed
-    resolvent norm of P_k4 d_x (u1 u2 u3).
+    Factors are free solutions on the unit torus shaped by a common temporal
+    bump at the output window scale; the middle factor is conjugated for the
+    Schroedinger (derivative NLS) nonlinearity.  The output functional is the
+    windowed resolvent norm of P_k4 d_x (u1 u2 u3), the sup over 13 window
+    centers across the envelope.  The outermost center is 2.6 2^-k4, the
+    window half-width and the envelope support 1.6 2^-k4, so every window
+    overlaps the envelope.
     """
 
-    def __init__(self, cls_name, ks, lam=1.0, law=BENJAMIN_ONO,
-                 conjugate_middle=False):
+    def __init__(self, cls_name, ks, law=BENJAMIN_ONO, conjugate_middle=False):
         holds, needs, alpha = INTERACTION_CLASSES[cls_name]
         if not holds(*ks):
             raise ValueError(f"blocks {ks} violate class {cls_name}: needs {needs}")
         self.alpha = alpha(*ks)
         self.ks = tuple(ks)
-        self.lam = lam
         self.law = law
-        self.conj_mid = conjugate_middle
         k1, k2, k3, k4 = ks
-        self.lattices = [_block_lattice(k, lam) for k in (k1, k2, k3)]
-        self.out_lattice = _block_lattice(k4, lam)
+        self.lattices = [_block_lattice(k, 1.0) for k in (k1, k2, k3)]
+        self.out_lattice = _block_lattice(k4, 1.0)
         self.env_scale = 2.0**-k4
+        half = bumps.OUTER * self.env_scale
+        self.centers = np.linspace(-half - 2.0**-k4, half + 2.0**-k4, 13)
         # choose the two smallest factor lattices as free enumeration axes
         sizes = [len(l) for l in self.lattices]
         order = np.argsort(sizes)
@@ -533,7 +535,7 @@ class TrilinearConfig:
         own index m and phase +omega(m); a conjugated slot contributes -m and
         -omega(m).
         """
-        lam, law, k4 = self.lam, self.law, self.ks[3]
+        law, k4 = self.law, self.ks[3]
         a, b, d = self.free_a, self.free_b, self.dep
         sa, sb, sd = self.slot_sign[a], self.slot_sign[b], self.slot_sign[d]
         ldep = self.lattices[d]
@@ -560,9 +562,9 @@ class TrilinearConfig:
         m4 = np.repeat(live, sizes)
         m = {a: ma[pick], b: mb[pick]}
         m[d] = sd * (m4 - sa * m[a] - sb * m[b])
-        self.spike_om = (sa * law.omega(m[a] / lam) + sb * law.omega(m[b] / lam)
-                         + sd * law.omega(m[d] / lam) - law.omega(m4 / lam))
-        self.spike_xi4 = m4 / lam
+        self.spike_om = (sa * law.omega(m[a]) + sb * law.omega(m[b])
+                         + sd * law.omega(m[d]) - law.omega(m4))
+        self.spike_xi4 = m4.astype(float)
         self.spike_pos = [np.searchsorted(self.lattices[s], m[s])
                           for s in range(3)]
         self.dtau = 2.0**k4 / TRILINEAR_TAU_BINS
@@ -577,22 +579,18 @@ class TrilinearConfig:
         self.omega_mode = float(0.5 * (edges[imax] + edges[imax + 1]))
         self.reach = 120.0 * 2.0**k4
 
-    def build_tau_table(self, shift=0.0, centers=None):
+    def build_tau_table(self, shift=0.0):
         """Profile-independent part of lhs_norm for spikes displaced by
-        ``shift`` and the given window centers (default: 13 across the
-        envelope).
+        ``shift``, at the config's window centers.
 
         Spikes sit on the bins of tau0 + dtau * arange(ngrid), row r on bins
         lo_r..hi_r.  A window profile is a kernel of 2 nk + 1 bins, so row r
         convolves to bins lo_r - nk..hi_r + nk, clipped to the grid; every
         row and center shares one 5-smooth transform length n above the
-        widest row.  The weights fold the tau-bin measure dtau / lam and the
+        widest row.  The weights fold the tau-bin measure dtau and the
         resolvent 1 / (tau^2 + 4^k4) into eta_j(tau)^2.
         """
         k4 = self.ks[3]
-        if centers is None:
-            half = bumps.OUTER * self.env_scale
-            centers = np.linspace(-half - 2.0**-k4, half + 2.0**-k4, 13)
         tau0 = self.omega_range[0] + shift - self.reach
         tau_hi = self.omega_range[1] + shift + self.reach
         ngrid = int(np.ceil((tau_hi - tau0) / self.dtau)) + 1
@@ -600,9 +598,8 @@ class TrilinearConfig:
         bins = np.rint((self.spike_om + shift - tau0) / self.dtau).astype(int)
         lo = np.minimum.reduceat(bins, self.row_starts)
         hi = np.maximum.reduceat(bins, self.row_starts)
-        kernels = [kern for kern in map(self.window_profile, centers)
-                   if kern is not None]
-        nk = max(((kern.size - 1) // 2 for kern in kernels), default=0)
+        kernels = [self.window_profile(c) for c in self.centers]
+        nk = max((kern.size - 1) // 2 for kern in kernels)
         n = bumps.fast_len(int(np.max(hi - lo + 1)) + 2 * nk + 1)
         spectra = np.zeros((len(kernels), n), dtype=complex)
         for row, kern in zip(spectra, kernels):  # centered on bin nk
@@ -615,7 +612,7 @@ class TrilinearConfig:
         weights = bumps.eta_stack(
             taugrid, bumps.max_resolved_j(float(np.max(np.abs(taugrid)))))
         weights *= weights
-        weights *= (self.dtau / self.lam) / (taugrid**2 + 4.0**k4)
+        weights *= self.dtau / (taugrid**2 + 4.0**k4)
         return TauTable(
             tau0=tau0, ngrid=ngrid, lo=lo, hi=hi,
             scatter=self.spike_row * n + bins - lo[self.spike_row],
@@ -629,14 +626,12 @@ class TrilinearConfig:
     def window_profile(self, center):
         """Transform of envelope^3 * eta0(2^k4 (t - center)) on multiples of
         dtau across the whole band of its padded FFT (2 nk + 1 bins centered
-        on zero), or None when the window misses the envelope."""
+        on zero)."""
         k4 = self.ks[3]
         half = bumps.OUTER * 2.0**-k4
         dt = 2.0**-k4 / 64.0
         t = np.arange(center - half, center + half + dt / 2, dt)
         s = self.envelope(t) ** 3 * bumps.eta0(2.0**k4 * (t - center))
-        if not np.any(s):
-            return None
         npad = bumps.next_pow2(int(2.0 * np.pi / (self.dtau * dt)) + t.size)
         ft = np.fft.fft(s, npad) * dt
         taus = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
@@ -651,7 +646,7 @@ class TrilinearConfig:
         return kr + 1j * ki
 
     def _unit_l2(self, c):
-        return c / np.sqrt(np.sum(np.abs(c) ** 2) / (2.0 * np.pi * self.lam))
+        return c / np.sqrt(np.sum(np.abs(c) ** 2) / (2.0 * np.pi))
 
     def profiles(self, rng):
         """Unit-L2 Gaussian coefficient tables, one per factor lattice."""
@@ -665,29 +660,28 @@ class TrilinearConfig:
         return [self._unit_l2(np.ones(latt.size, dtype=complex))
                 for latt in self.lattices]
 
-    def lhs_norm(self, profiles, centers=None, thetas=(0.0, 0.0, 0.0)):
+    def lhs_norm(self, profiles, thetas=(0.0, 0.0, 0.0)):
         """Windowed resolvent norm of P_k4 d_x of the factor product.
 
         ``thetas`` are per-slot modulation shifts: slot s carries an extra
         phase exp(i theta_s t), displacing every interaction spike by the
         slot-signed sum of shifts.  The tau table of build_tau_table is the
-        one built with the config unless the spikes are displaced or the
-        centers given.  The spike amplitudes are scattered into one row per
-        output mode over that row's own support and transformed once; each
-        window center then costs one batched inverse transform against its
+        one built with the config unless the spikes are displaced.  The spike
+        amplitudes are scattered into one row per output mode over that
+        row's own support and transformed once; each of the config's window
+        centers then costs one batched inverse transform against its
         kernel spectrum, whose power is added into the global tau grid at
         each row's offset and weighed by the annuli in one matrix product.
         """
         shift = 0.0
         for s in range(3):
             shift += self.slot_sign[s] * float(thetas[s])
-        table = (self.tau_table if shift == 0.0 and centers is None
-                 else self.build_tau_table(shift, centers))
+        table = self.tau_table if shift == 0.0 else self.build_tau_table(shift)
         amp = 1.0
         for s in (self.free_a, self.free_b, self.dep):
             val = profiles[s][self.spike_pos[s]]
             amp = amp * (np.conj(val) if self.slot_sign[s] == -1 else val)
-        pref = 1.0 / (2.0 * np.pi * self.lam) ** 2
+        pref = 1.0 / (2.0 * np.pi) ** 2
         spikes = np.zeros((self.row_starts.size, table.kernel_spectra.shape[1]),
                           dtype=complex)
         np.add.at(spikes.reshape(-1), table.scatter,
@@ -716,7 +710,7 @@ class TrilinearConfig:
         out = []
         for s in range(3):
             phi = profiles[s]
-            lnorm = np.sqrt(np.sum(np.abs(phi) ** 2) / self.lam)
+            lnorm = np.sqrt(np.sum(np.abs(phi) ** 2))
             const = (self.unit_window_constants[s] if thetas[s] == 0.0
                      else self.factor_window_constant(s, thetas[s]))
             out.append(lnorm * const)
@@ -785,7 +779,7 @@ class TrilinearConfig:
         return float(np.max(np.sqrt(blocks) @ jscale))
 
 
-def trilinear_ratio(cls_name, ks, lam=1.0, law=BENJAMIN_ONO,
+def trilinear_ratio(cls_name, ks, law=BENJAMIN_ONO,
                     conjugate_middle=False, seed=0, count=12,
                     include_coherent=True, include_tuned=False):
     """Ensemble ratio ||P_k4 d_x(u1 u2 u3)||_window-resolvent divided by
@@ -797,7 +791,7 @@ def trilinear_ratio(cls_name, ks, lam=1.0, law=BENJAMIN_ONO,
     probe is part of the fixed measurement recipe of classes whose
     interactions are never near-resonant for free data.
     """
-    cfg = TrilinearConfig(cls_name, ks, lam=lam, law=law,
+    cfg = TrilinearConfig(cls_name, ks, law=law,
                           conjugate_middle=conjugate_middle)
     zero = (0.0, 0.0, 0.0)
     triples = [(cfg.profiles(sample_rng(seed, i)), zero) for i in range(count)]
@@ -817,10 +811,10 @@ def trilinear_ratio(cls_name, ks, lam=1.0, law=BENJAMIN_ONO,
         return lhs / (cfg.alpha * rhs)
 
     mx, mean, kept = _ensemble_ratios([ratio(*t) for t in triples])
-    return RatioPoint(float(ks[0]), lam, mx, mean), len(triples) - kept
+    return RatioPoint(float(ks[0]), 1.0, mx, mean), len(triples) - kept
 
 
-def trilinear_sweep(cls_name, sweeps, lam=1.0, law=BENJAMIN_ONO,
+def trilinear_sweep(cls_name, sweeps, law=BENJAMIN_ONO,
                     conjugate_middle=False, seed=0, count=12,
                     include_tuned=False):
     """Report over a list of block tuples, swept along the first entry that
@@ -832,11 +826,11 @@ def trilinear_sweep(cls_name, sweeps, lam=1.0, law=BENJAMIN_ONO,
     varying = [j for j in range(4) if len(set(arr[:, j])) > 1]
     sweep_coord = varying[0] if varying else 0
     for ks in sweeps:
-        pt, sk = trilinear_ratio(cls_name, tuple(ks), lam=lam, law=law,
+        pt, sk = trilinear_ratio(cls_name, tuple(ks), law=law,
                                  conjugate_middle=conjugate_middle, seed=seed,
                                  count=count, include_tuned=include_tuned)
         points.append(
-            RatioPoint(float(ks[sweep_coord]), lam, pt.max_ratio, pt.mean_ratio)
+            RatioPoint(float(ks[sweep_coord]), 1.0, pt.max_ratio, pt.mean_ratio)
         )
         skipped += sk
     tag = "dnls" if conjugate_middle else "real"

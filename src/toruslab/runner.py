@@ -77,24 +77,6 @@ class ScenarioResult:
         ]
 
 
-def report_rows(report):
-    rows = []
-    for p in report.points:
-        rows.append(
-            [
-                report.estimate_id,
-                fmt(2.0**p.sweep),
-                fmt(p.lam),
-                fmt(p.max_ratio),
-                fmt(p.mean_ratio),
-                fmt(report.slope),
-                fmt(report.residual),
-                str(bool(report.verdict)),
-            ]
-        )
-    return rows
-
-
 def git_revision():
     """Short git revision of the checkout holding this package, or None
     without git or outside a repository."""
@@ -121,9 +103,13 @@ def _write_csv(path, header, rows):
 
 def emit_report(reports, csv_path, manifest_path=None, config_echo=None,
                 seed=None, wall_times=None, measurements=None, checks=()):
-    """Write the fixed-schema CSV and a JSON run manifest."""
-    _write_csv(csv_path, CSV_HEADER,
-               [row for rep in reports for row in report_rows(rep)])
+    """Write the fixed-schema CSV, one row per report point, and a JSON run
+    manifest."""
+    _write_csv(csv_path, CSV_HEADER, [
+        [rep.estimate_id, fmt(2.0**p.sweep), fmt(p.lam), fmt(p.max_ratio),
+         fmt(p.mean_ratio), fmt(rep.slope), fmt(rep.residual),
+         str(bool(rep.verdict))]
+        for rep in reports for p in rep.points])
     if manifest_path is not None:
         manifest = {
             "config": config_echo or {},
@@ -159,32 +145,25 @@ def emit_report(reports, csv_path, manifest_path=None, config_echo=None,
     return csv_path
 
 
-def trajectory_rows(traj, s):
-    """Snapshot export rows (t, L2 norm, energy, Sobolev norm)."""
+def write_trajectory_csv(traj, s, path):
+    """Snapshot export: one row (t, L2 norm, energy, Sobolev norm) per
+    snapshot."""
     rows = []
     for i in range(len(traj)):
         u = traj.field(i)
         energy = ev.conserved_energy(u, traj.problem.sigma) if u.real else np.nan
-        rows.append(
-            (float(traj.times[i]), u.l2_norm(), energy, sp.sobolev_norm(u, s))
-        )
-    return rows
-
-
-def write_trajectory_csv(traj, s, path):
-    return _write_csv(path, "t,l2_norm,energy,sobolev_norm",
-                      [map(fmt, row) for row in trajectory_rows(traj, s)])
-
-
-def energy_series_rows(report):
-    """Energy-diagnostic rows (t, E0, E1, R4, R6, dE0/dt, d(E0+sigma E1)/dt)
-    from a cancellation report (interior rows carry the derivatives)."""
-    return list(zip(*report["series"], *report["derivatives"]))
+        rows.append(map(fmt, (float(traj.times[i]), u.l2_norm(), energy,
+                              sp.sobolev_norm(u, s))))
+    return _write_csv(path, "t,l2_norm,energy,sobolev_norm", rows)
 
 
 def write_energy_series_csv(report, path):
+    """Energy-diagnostic export (t, E0, E1, R4, R6, dE0/dt,
+    d(E0+sigma E1)/dt) of a cancellation report; interior rows carry the
+    derivatives."""
     return _write_csv(path, "t,e0,e1,r4,r6,de0_dt,dcorrected_dt",
-                      [map(fmt, row) for row in energy_series_rows(report)])
+                      [map(fmt, row) for row in
+                       zip(*report["series"], *report["derivatives"])])
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +229,17 @@ def _conservation_drifts(traj):
     return mdrift, edrift
 
 
-def convergence_order(seed=0, m=64, t_final=0.5, amp=0.4):
+def convergence_order(seed):
+    """Self-convergence orders of RK4 on M = 64 data of amplitude 0.4 at
+    T = 0.5, from steps 2, 1, 1/2 and 1/4 times ``default_dt``."""
     rng = np.random.default_rng(seed)
-    g = sp.TorusGeometry(1.0, m)
-    u0 = sp.random_field(g, rng, band=m // 4, real=True, decay=1.0) * amp
+    g = sp.TorusGeometry(1.0, 64)
+    u0 = sp.random_field(g, rng, band=16, real=True, decay=1.0) * 0.4
     prob = ev.FlowProblem(ev.BENJAMIN_ONO, +1, u0)
     base = ev.default_dt(prob) * 2
     finals = []
     for f in (1, 2, 4, 8):
-        traj = ev.evolve(prob, t_final, dt=base / f, n_snapshots=2)
+        traj = ev.evolve(prob, 0.5, dt=base / f, n_snapshots=2)
         finals.append(traj.states[-1])
     e1 = np.linalg.norm(finals[0] - finals[3])
     e2 = np.linalg.norm(finals[1] - finals[3])
@@ -273,7 +254,7 @@ def conservation(seed=7, grid_size=256, t_final=1.0):
     prob = _conservation_problem(seed, grid_size, 0.3, 0.05)
     traj = ev.evolve(prob, t_final, n_snapshots=9)
     mdrift, edrift = _conservation_drifts(traj)
-    o1, o2 = convergence_order(seed=seed)
+    o1, o2 = convergence_order(seed)
 
     def trajectory(path):
         write_trajectory_csv(traj, 0.3, path)
@@ -684,9 +665,9 @@ def _parse_section(cfg, section, defaults):
 def parse_config(cfg):
     """Return (scenario, seed, output_dir, keyword parameters).  The keys of
     the scenario's section are the keyword parameters of its criterion
-    function, typed by their defaults.  A seed must be at least 0, every
-    other integer at least 1, s above 1/4 and every t_final and size
-    positive, all finite.  Every grid_size must be a power of two of at
+    function, typed by their defaults.  The output directory must not be
+    empty.  A seed must be at least 0, every other integer at least 1, s
+    above 1/4 and every t_final and size positive, all finite.  Every grid_size must be a power of two of at
     least 8, for every criterion: M = 4 has no dyadic block 2, which
     criterion 3's symbol needs, and leaves criterion 4 band-1 data, whose
     residuals vanish and leave no order to fit.  Anything else raises
@@ -703,6 +684,8 @@ def parse_config(cfg):
             raise ConfigError(f"unknown section [{section}] for scenario {name}")
     run = {"scenario": name, "seed": 0, "output_dir": "out"}
     run.update(_parse_section(cfg, "run", run))
+    if not run["output_dir"]:
+        raise ConfigError("run.output_dir must name a directory, got ''")
     defaults = {
         key: p.default
         for key, p in inspect.signature(SCENARIOS[name]).parameters.items()

@@ -70,23 +70,18 @@ def brute_spikes(cfg):
         found.append(np.stack([np.full(np.count_nonzero(keep), m1), m2[keep],
                                m3[keep], m4[keep]], axis=1))
     ms = np.concatenate(found)
-    xi = ms / cfg.lam
-    om = sum(s * cfg.law.omega(xi[:, i]) for i, s in enumerate(cfg.slot_sign))
-    return ms, om - cfg.law.omega(xi[:, 3])
+    om = sum(s * cfg.law.omega(ms[:, i]) for i, s in enumerate(cfg.slot_sign))
+    return ms, om - cfg.law.omega(ms[:, 3])
 
 
-def oracle_lhs_norm(cfg, profiles, centers=None, thetas=(0.0, 0.0, 0.0)):
-    """Reference trilinear norm: the brute-force spikes of every output mode
-    binned on the full tau grid and convolved with each center's window
-    profile by one power-of-two FFT of the whole (rows, grid) matrix (the
-    evaluator the row-support transforms of TrilinearConfig.lhs_norm
-    replaced)."""
-    lam = cfg.lam
+def oracle_lhs_norm(cfg, profiles, thetas=(0.0, 0.0, 0.0)):
+    """Reference trilinear norm on the unit torus: the brute-force spikes of
+    every output mode binned on the full tau grid and convolved with each
+    center's window profile by one power-of-two FFT of the whole (rows, grid)
+    matrix (the evaluator the row-support transforms of
+    TrilinearConfig.lhs_norm replaced)."""
     k4 = cfg.ks[3]
-    pref = 1.0 / (2.0 * np.pi * lam) ** 2
-    if centers is None:
-        half = bumps.OUTER * cfg.env_scale
-        centers = np.linspace(-half - 2.0**-k4, half + 2.0**-k4, 13)
+    pref = 1.0 / (2.0 * np.pi) ** 2
     shift = 0.0
     for s in range(3):
         shift += cfg.slot_sign[s] * float(thetas[s])
@@ -102,11 +97,8 @@ def oracle_lhs_norm(cfg, profiles, centers=None, thetas=(0.0, 0.0, 0.0)):
     out_modes, row = np.unique(ms[:, 3], return_inverse=True)
     spike_mat = np.zeros((out_modes.size, ngrid), dtype=complex)
     bins = np.rint((om + shift - tau0) / cfg.dtau).astype(int)
-    np.add.at(spike_mat, (row, bins), amp * (1j * ms[:, 3] / lam) * pref)
-    kernels = [kern for kern in map(cfg.window_profile, centers)
-               if kern is not None]
-    if not kernels:
-        return 0.0
+    np.add.at(spike_mat, (row, bins), amp * (1j * ms[:, 3]) * pref)
+    kernels = [cfg.window_profile(c) for c in cfg.centers]
     max_nk = max((kern.size - 1) // 2 for kern in kernels)
     nfft = bumps.next_pow2(ngrid + 2 * max_nk + 1)
     spike_fft = np.fft.fft(spike_mat, nfft, axis=1)
@@ -122,7 +114,7 @@ def oracle_lhs_norm(cfg, profiles, centers=None, thetas=(0.0, 0.0, 0.0)):
         kfft = np.fft.fft(kern, nfft)
         conv = np.fft.ifft(spike_fft * kfft[None, :], axis=1)
         nut = conv[:, nk : nk + ngrid]
-        power = (cfg.dtau / lam) * np.sum(np.abs(nut) ** 2, axis=0)
+        power = cfg.dtau * np.sum(np.abs(nut) ** 2, axis=0)
         power *= resolvent
         blocks = weights @ power
         total = float(
@@ -476,13 +468,25 @@ class TestTrilinear:
                                      conjugate_middle=conj)
             got = np.stack(
                 [l[p] for l, p in zip(cfg.lattices, cfg.spike_pos)]
-                + [np.rint(cfg.spike_xi4 * cfg.lam).astype(int)], axis=1)
+                + [np.rint(cfg.spike_xi4).astype(int)], axis=1)
             want, om = brute_spikes(cfg)
             gorder = np.lexsort(got.T[::-1])
             worder = np.lexsort(want.T[::-1])
             assert np.array_equal(got[gorder], want[worder])
             scale = float(np.max(np.abs(om)))
             assert np.max(np.abs(cfg.spike_om[gorder] - om[worder])) <= 1e-12 * scale
+
+    def test_window_profiles_overlap_envelope(self):
+        """Every fixed window center's profile is nonzero at k4 = 0..7: each
+        window overlaps the envelope, so lhs_norm needs no empty-window
+        path."""
+        for k4 in range(8):
+            cls_name = ("low_low_low_to_low" if k4 <= 5
+                        else "high_low_low_to_high")
+            cfg = es.TrilinearConfig(cls_name, (0, 0, k4, k4))
+            assert cfg.centers.size == 13
+            for c in cfg.centers:
+                assert np.any(cfg.window_profile(c)), (k4, c)
 
     def test_zero_factor_gives_zero(self):
         cfg = es.TrilinearConfig("low_low_low_to_low", (1, 1, 1, 1))
@@ -492,19 +496,14 @@ class TestTrilinear:
 
     def test_spike_evaluator_matches_direct(self):
         """The spike-and-convolve evaluator agrees with a brute-force
-        space-time product norm on a small configuration."""
-        import toruslab.spacetime as st
-        from toruslab import bumps
-        from toruslab.spectral import TorusGeometry
-
+        space-time product norm on a small configuration, at the config's
+        window centers."""
         for law, conj in ((BENJAMIN_ONO, False), (SCHROEDINGER, True)):
             cfg = es.TrilinearConfig("low_low_low_to_low", (2, 1, 1, 2),
                                      law=law, conjugate_middle=conj)
             prof = cfg.profiles(es.sample_rng(10, 0))
-            centers = np.linspace(-0.5 * cfg.env_scale, 0.5 * cfg.env_scale, 5)
-            spike = cfg.lhs_norm(prof, centers=centers)
+            spike = cfg.lhs_norm(prof)
             # direct: build factors on a fine grid, multiply, nk-norm
-            lam = cfg.lam
             k4 = cfg.ks[3]
             om_max = float(np.max(np.abs(cfg.spike_om)))
             dt = min(2.0**-k4 / 32.0, np.pi / (8.0 * max(om_max, 1.0)))
@@ -517,37 +516,38 @@ class TestTrilinear:
             for s in range(3):
                 latt = cfg.lattices[s]
                 rows = (
-                    np.exp(1j * np.outer(t, law.omega(latt / lam)))
+                    np.exp(1j * np.outer(t, law.omega(latt)))
                     * prof[s][None, :]
                 )
                 a = np.zeros((t.size, nx), complex)
                 a[:, latt % nx] = rows
-                vals = np.fft.ifft(a, axis=1) * nx / (2 * np.pi * lam)
+                vals = np.fft.ifft(a, axis=1) * nx / (2 * np.pi)
                 vals = vals * env[:, None]
                 if cfg.slot_sign[s] == -1:
                     vals = np.conj(vals)
                 prod *= vals
-            what = np.fft.fft(prod, axis=1) * (2 * np.pi * lam / nx)
+            what = np.fft.fft(prod, axis=1) * (2 * np.pi / nx)
             cols = cfg.out_lattice % nx
-            w = what[:, cols] * (1j * cfg.out_lattice / lam)[None, :]
+            w = what[:, cols] * (1j * cfg.out_lattice)[None, :]
             f = st.SpaceTimeField(
-                TorusGeometry(lam, nx), cfg.out_lattice, t, w,
+                TorusGeometry(1.0, nx), cfg.out_lattice, t, w,
                 (float(t[0]), float(t[-1])),
             )
-            direct = st.nk_norm(f, k4, law=law, centers=centers)
+            direct = st.nk_norm(f, k4, law=law, centers=cfg.centers)
             assert abs(spike - direct) <= 0.02 * direct
 
     def test_lhs_norm_matches_full_grid_oracle(self):
         """Row-support transforms agree with the full-grid evaluator on the
-        criterion-9 tuples, for Gaussian, coherent and tuned candidates and
-        explicit centers, including rows narrower than half the tau grid."""
+        criterion-9 tuples and the tuple of
+        test_spike_evaluator_matches_direct, for Gaussian, coherent and tuned
+        candidates, including rows narrower than half the tau grid."""
         laws = ((BENJAMIN_ONO, False), (SCHROEDINGER, True))
-        cases = [("high_high_high_to_low", (5, 5, 5, 1), True, None),
-                 ("high_high_high_to_low", (7, 7, 7, 3), True, None),
-                 ("high_low_low_to_high", (0, 4, 7, 7), False, None),
-                 ("low_low_low_to_low", (2, 1, 1, 2), False, 5)]
+        cases = [("high_high_high_to_low", (5, 5, 5, 1), True),
+                 ("high_high_high_to_low", (7, 7, 7, 3), True),
+                 ("high_low_low_to_high", (0, 4, 7, 7), False),
+                 ("low_low_low_to_low", (2, 1, 1, 2), False)]
         narrow = 0
-        for cls_name, ks, tuned, ncent in cases:
+        for cls_name, ks, tuned in cases:
             for law, conj in laws:
                 cfg = es.TrilinearConfig(cls_name, ks, law=law,
                                          conjugate_middle=conj)
@@ -558,14 +558,9 @@ class TestTrilinear:
                     thetas = [0.0, 0.0, 0.0]
                     thetas[cfg.dep] = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
                     calls.append((cfg.coherent_profiles(), tuple(thetas)))
-                centers = None
-                if ncent:  # as in test_spike_evaluator_matches_direct
-                    centers = np.linspace(-0.5 * cfg.env_scale,
-                                          0.5 * cfg.env_scale, ncent)
                 for prof, thetas in calls:
-                    got = cfg.lhs_norm(prof, centers=centers, thetas=thetas)
-                    want = oracle_lhs_norm(cfg, prof, centers=centers,
-                                           thetas=thetas)
+                    got = cfg.lhs_norm(prof, thetas=thetas)
+                    want = oracle_lhs_norm(cfg, prof, thetas=thetas)
                     assert want > 0.0
                     assert abs(got - want) <= 1e-12 * want
                 table = cfg.tau_table
@@ -606,25 +601,20 @@ class TestTrilinear:
 
     def test_factor_norm_factorization(self):
         """The factored F-norm equals the generic windowed norm."""
-        import toruslab.spacetime as st
-        from toruslab import bumps
-        from toruslab.spectral import TorusGeometry
-
         cfg = es.TrilinearConfig("low_low_low_to_low", (2, 1, 1, 2))
         prof = cfg.profiles(es.sample_rng(11, 0))
         fn = cfg.rhs_factor_norms(prof)
-        lam = cfg.lam
         latt = cfg.lattices[0]
         k = cfg.ks[0]
         dt = 2.0**-k / 32.0
         half = bumps.OUTER * cfg.env_scale
         t = np.arange(-half - 2 * dt, half + 2 * dt, dt)
         vals = (
-            np.exp(1j * np.outer(t, BENJAMIN_ONO.omega(latt / lam)))
+            np.exp(1j * np.outer(t, BENJAMIN_ONO.omega(latt)))
             * prof[0][None, :]
             * cfg.envelope(t)[:, None]
         )
-        f = st.SpaceTimeField(TorusGeometry(lam, 64), latt, t, vals,
+        f = st.SpaceTimeField(TorusGeometry(1.0, 64), latt, t, vals,
                               (float(t[0]), float(t[-1])))
         direct = st.fk_norm(f, k, law=BENJAMIN_ONO)
         assert abs(fn[0] - direct) <= 0.05 * direct
@@ -644,7 +634,7 @@ class TestTrilinear:
                 cfg = es.TrilinearConfig(cls_name, ks, law=law,
                                          conjugate_middle=conj)
                 # unit lattice L2, so each factor norm is its window constant
-                unit = [np.sqrt(cfg.lam) * (np.arange(l.size) == 0)
+                unit = [1.0 * (np.arange(l.size) == 0)
                         for l in cfg.lattices]
                 tuned = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
                 for theta in (0.0, tuned):
@@ -674,7 +664,7 @@ class TestTrilinear:
                 span = centers[-1] - centers[0] + 2 * half_win
                 t = centers[0] - half_win + dt * np.arange(round(span / dt) + 1)
                 f = st.modulated_profile_field(
-                    TorusGeometry(cfg.lam, 64), cfg.lattices[s][:1], t,
+                    TorusGeometry(1.0, 64), cfg.lattices[s][:1], t,
                     np.ones(1), cfg.envelope(t), cfg.law,
                 )
                 direct = st.fk_norm(f, k, law=cfg.law, centers=centers,

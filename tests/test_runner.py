@@ -69,6 +69,7 @@ def test_validate_and_errors(tmp_path):
     ("[run]\nscenario = multiplier_bounds\n[multiplier_bounds]\n"
      "tuples_per_pattern = 0\n", "multiplier_bounds.tuples_per_pattern"),
     ("[run]\nscenario = envelope\nseed = -1\n", "run.seed"),
+    ("[run]\nscenario = envelope\noutput_dir =\n", "run.output_dir"),
     ("[run]\nscenario = envelope\n[envelope]\ncount = 0\n", "envelope.count"),
     ("[run]\nscenario = boundary_bound\n[boundary_bound]\ncount = 0\n",
      "boundary_bound.count"),
@@ -90,7 +91,8 @@ def test_validate_rejects_unknown_fields(tmp_path, capsys, text, field):
     # no torus has until they were checked against TorusGeometry, negative
     # seeds or empty counts until integers were bounded below, times, sizes
     # or s outside their ranges or repeated list entries until those were
-    # checked too, and grid_size = 4, on which criteria 3 and 4 crashed
+    # checked too, grid_size = 4, on which criteria 3 and 4 crashed, and an
+    # empty output_dir, on which run crashed creating the directory
     assert cli.main(["validate", write_cfg(tmp_path, text)]) == rn.EXIT_CONFIG
     assert field in capsys.readouterr().err
 
