@@ -30,15 +30,18 @@ The trilinear nonlinearity norm uses the fact that a product of windowed
 free solutions is a finite sum of modulated copies of one smooth profile:
 its modulation spectrum is the interaction spikes convolved with the window
 profile transform of each of thirteen fixed window centers.  The classes
-are measured on the unit torus (lam = 1).  Each output mode's spikes occupy
-a short stretch of the tau grid, so they are transformed over that stretch
-only, at a 5-smooth length shared by all rows; the binning, the kernel
-spectra and the annulus weights do not depend on the profiles and are
-tabulated when a TrilinearConfig is built (for displaced spikes, when
-asked).  The factor F-norms factor into the lattice L2 of the profile times
-a window constant per block; a TrilinearConfig evaluates the unmodulated
-constants when it is built and a modulated one when asked, and no state is
-shared between configurations.
+are measured on the unit torus (lam = 1).  Each output mode's spikes are
+transformed over their occupied stretches of the tau grid only, at a
+5-smooth length shared by all rows: a gap between spikes wider than the
+window kernel is collapsed to the kernel width, which leaves the
+convolution unchanged (the conjugated three-highs-to-low rows span almost
+the whole grid, in two clusters).  The binning, the collapsed layout, the
+kernel spectra and the annulus weights on the covered bins do not depend on
+the profiles and are tabulated when a TrilinearConfig is built (for
+displaced spikes, when asked).  The factor F-norms factor into the lattice
+L2 of the profile times a window constant per block; a TrilinearConfig
+evaluates the unmodulated constants when it is built and a modulated one
+when asked, and no state is shared between configurations.
 """
 
 from dataclasses import dataclass
@@ -473,17 +476,17 @@ TRILINEAR_TAU_BINS = 8  # spike-grid delta-tau = 2^k4 / this
 
 @dataclass(frozen=True)
 class TauTable:
-    """Spike grid, row supports, window-kernel spectra and annulus weights
-    of TrilinearConfig.lhs_norm (see TrilinearConfig.build_tau_table)."""
+    """Spike grid, collapsed row layout, window-kernel spectra and annulus
+    weights of TrilinearConfig.lhs_norm (see TrilinearConfig.build_tau_table).
+    """
 
     tau0: float
-    ngrid: int
-    lo: np.ndarray            # first occupied bin of each row
-    hi: np.ndarray            # last occupied bin of each row
-    scatter: np.ndarray       # flat (row, bin - lo) position of each spike
-    spans: list               # per row: (grid lo, grid hi, first local bin)
+    covered: np.ndarray       # grid bin of each weights column
+    scatter: np.ndarray       # flat (row, collapsed position) of each spike
+    spans: list               # per cluster: (row, first column, end column,
+                              # transform bin of the first column)
     kernel_spectra: np.ndarray  # (centers, n)
-    weights: np.ndarray       # (annuli, ngrid)
+    weights: np.ndarray       # (annuli, covered bins)
 
 
 class TrilinearConfig:
@@ -583,40 +586,77 @@ class TrilinearConfig:
         """Profile-independent part of lhs_norm for spikes displaced by
         ``shift``, at the config's window centers.
 
-        Spikes sit on the bins of tau0 + dtau * arange(ngrid), row r on bins
-        lo_r..hi_r.  A window profile is a kernel of 2 nk + 1 bins, so row r
-        convolves to bins lo_r - nk..hi_r + nk, clipped to the grid; every
-        row and center shares one 5-smooth transform length n above the
-        widest row.  The weights fold the tau-bin measure dtau and the
-        resolvent 1 / (tau^2 + 4^k4) into eta_j(tau)^2.
+        Spikes sit on the bins of tau0 + dtau * arange(ngrid).  A window
+        profile is a kernel of 2 nk + 1 bins, so a spike on bin b reaches
+        bins b - nk..b + nk.  Each row's occupied bins split into clusters
+        wherever two consecutive ones lie more than 2 nk bins apart; such
+        gaps are collapsed to exactly 2 nk + 1 bins in the row's transform,
+        so the outputs of different clusters stay disjoint and the linear
+        convolution is unchanged.  A cluster on bins F..L with collapsed
+        offset ``off`` (bin = position + off) convolves to bins
+        F - nk..L + nk, clipped to the grid.  Every row and center shares
+        one 5-smooth transform length n above the widest collapsed row.  The
+        weights are tabulated only on the bins that some cluster covers;
+        they fold the tau-bin measure dtau and the resolvent
+        1 / (tau^2 + 4^k4) into eta_j(tau)^2.
         """
         k4 = self.ks[3]
         tau0 = self.omega_range[0] + shift - self.reach
         tau_hi = self.omega_range[1] + shift + self.reach
         ngrid = int(np.ceil((tau_hi - tau0) / self.dtau)) + 1
-        taugrid = tau0 + self.dtau * np.arange(ngrid)
         bins = np.rint((self.spike_om + shift - tau0) / self.dtau).astype(int)
-        lo = np.minimum.reduceat(bins, self.row_starts)
-        hi = np.maximum.reduceat(bins, self.row_starts)
         kernels = [self.window_profile(c) for c in self.centers]
         nk = max((kern.size - 1) // 2 for kern in kernels)
-        n = bumps.fast_len(int(np.max(hi - lo + 1)) + 2 * nk + 1)
+        # the occupied bins of every row, row after row, on one flat mask;
+        # a row's bins differ from their mask indices by one constant
+        lo = np.minimum.reduceat(bins, self.row_starts)
+        width = np.maximum.reduceat(bins, self.row_starts) - lo + 1
+        base = np.cumsum(width) - width  # mask index of each row's bin lo
+        flat = bins  # in place: the mask index of each spike
+        flat += (base - lo)[self.spike_row]
+        occupied = np.zeros(int(np.sum(width)), dtype=bool)
+        occupied[flat] = True
+        occ = np.flatnonzero(occupied)
+        # a cluster starts at each row's bin lo and after each wide gap
+        first = np.r_[True, np.diff(occ) > 2 * nk]
+        first[np.searchsorted(occ, base)] = True
+        start, end = occ[first], occ[np.r_[first[1:], True]]
+        crow = np.searchsorted(base, start, side="right") - 1
+        # collapsed start of each cluster: 2 nk + 1 bins past the end of the
+        # previous cluster of its row, 0 for a row's first cluster
+        extent = end - start + 2 * nk + 1
+        before = np.cumsum(extent) - extent
+        cstart = before - before[np.searchsorted(start, base)][crow]
+        cfirst = start - base[crow] + lo[crow]
+        clast = cfirst + end - start
+        offset = cfirst - cstart  # bin = collapsed position + offset
+        n = bumps.fast_len(int(np.max(cstart + end - start + 1)) + 2 * nk + 1)
+        # flat (row, collapsed position) of each mask index: one shift per
+        # cluster, from its first mask index to the next cluster's
+        place = np.repeat(crow * n + cstart - start,
+                          np.diff(np.r_[start, occupied.size]))
+        place += np.arange(occupied.size)
         spectra = np.zeros((len(kernels), n), dtype=complex)
         for row, kern in zip(spectra, kernels):  # centered on bin nk
             pad = nk - (kern.size - 1) // 2
             row[pad:pad + kern.size] = kern
         spectra = np.fft.fft(spectra, axis=1)
-        first = lo - nk
-        dst_lo = np.maximum(first, 0)
-        dst_hi = np.minimum(hi + nk + 1, ngrid)
-        weights = bumps.eta_stack(
-            taugrid, bumps.max_resolved_j(float(np.max(np.abs(taugrid)))))
+        dst_lo = np.maximum(cfirst - nk, 0)
+        dst_hi = np.minimum(clast + nk + 1, ngrid)
+        cover = np.cumsum(np.bincount(dst_lo, minlength=ngrid + 1)
+                          - np.bincount(dst_hi, minlength=ngrid + 1))[:-1] > 0
+        covered = np.flatnonzero(cover)
+        column = (np.cumsum(cover) - 1)[dst_lo]  # first column of each span
+        taus = tau0 + self.dtau * covered
+        tau_max = max(abs(tau0), abs(tau0 + self.dtau * (ngrid - 1)))
+        weights = bumps.eta_stack(taus, bumps.max_resolved_j(tau_max))
         weights *= weights
-        weights *= self.dtau / (taugrid**2 + 4.0**k4)
+        weights *= self.dtau / (taus**2 + 4.0**k4)
         return TauTable(
-            tau0=tau0, ngrid=ngrid, lo=lo, hi=hi,
-            scatter=self.spike_row * n + bins - lo[self.spike_row],
-            spans=list(zip(dst_lo, dst_hi, dst_lo - first)),
+            tau0=tau0, covered=covered, scatter=place[flat],
+            spans=list(zip(crow.tolist(), column.tolist(),
+                           (column + dst_hi - dst_lo).tolist(),
+                           (dst_lo + nk - offset).tolist())),
             kernel_spectra=spectra, weights=weights,
         )
 
@@ -667,11 +707,12 @@ class TrilinearConfig:
         phase exp(i theta_s t), displacing every interaction spike by the
         slot-signed sum of shifts.  The tau table of build_tau_table is the
         one built with the config unless the spikes are displaced.  The spike
-        amplitudes are scattered into one row per output mode over that
-        row's own support and transformed once; each of the config's window
-        centers then costs one batched inverse transform against its
-        kernel spectrum, whose power is added into the global tau grid at
-        each row's offset and weighed by the annuli in one matrix product.
+        amplitudes are scattered into one row per output mode, its clusters
+        laid out with their gaps collapsed, and transformed once; each of
+        the config's window centers then costs one batched inverse transform
+        against its kernel spectrum, whose power is added, span by span,
+        into the covered tau bins and weighed by the annuli in one matrix
+        product.
         """
         shift = 0.0
         for s in range(3):
@@ -696,9 +737,9 @@ class TrilinearConfig:
             np.fft.ifft(np.multiply(spec, kspec, out=nut), axis=1, out=nut)
             np.square(nut.real, out=rowpower)
             rowpower += np.square(nut.imag, out=imag2)
-            power = np.zeros(table.ngrid)
-            for row, (lo, hi, src) in zip(rowpower, table.spans):
-                power[lo:hi] += row[src:src + hi - lo]
+            power = np.zeros(table.covered.size)
+            for row, lo, hi, src in table.spans:
+                power[lo:hi] += rowpower[row, src:src + hi - lo]
             blocks = table.weights @ power
             total = np.sum(jscale * np.sqrt(np.maximum(blocks, 0.0)))
             best = max(best, float(total))

@@ -52,6 +52,43 @@ def oracle_window_constant(cfg, s, theta=0.0):
     return best
 
 
+def assert_collapse_invariants(cfg, table, shift=0.0):
+    """Assert the collapsed row layout of ``table`` (cfg.build_tau_table at
+    ``shift``) and return the number of clusters of each row.  A span's
+    columns are a run of grid bins; its transform bin src holds the kernel
+    output of the grid bin of its first column, so a spike on collapsed
+    position p (kernel centered on output p + nk) belongs to the span whose
+    outputs hold p + nk, and its grid bin is p + nk - src + that first bin."""
+    nk = max((cfg.window_profile(c).size - 1) // 2 for c in cfg.centers)
+    n = table.kernel_spectra.shape[1]
+    grid = np.rint((cfg.spike_om + shift - table.tau0) / cfg.dtau).astype(int)
+    row, pos = np.divmod(table.scatter, n)
+    assert np.array_equal(row, cfg.spike_row)
+    owner = np.full(pos.size, -1)
+    per_row = {}
+    for i, (r, lo, hi, src) in enumerate(table.spans):
+        first, end = table.covered[lo], table.covered[hi - 1]
+        assert end - first == hi - lo - 1  # a run of grid bins
+        mine = (row == r) & (pos + nk >= src) & (pos + nk < src + hi - lo)
+        assert np.all(owner[mine] == -1)
+        owner[mine] = i
+        assert np.array_equal(grid[mine], pos[mine] + nk - src + first)
+        lo_bin, hi_bin = int(np.min(grid[mine])), int(np.max(grid[mine]))
+        assert first == max(lo_bin - nk, 0)
+        assert end == min(hi_bin + nk, table.covered[-1])
+        per_row.setdefault(r, []).append(
+            (lo_bin, hi_bin, int(np.min(pos[mine])), int(np.max(pos[mine]))))
+    assert np.all(owner >= 0)
+    for parts in per_row.values():
+        parts.sort()
+        for (_, hi_bin, _, hi_pos), (lo_bin, _, lo_pos, _) in zip(parts,
+                                                                  parts[1:]):
+            assert lo_bin - hi_bin > 2 * nk
+            assert lo_pos > hi_pos + 2 * nk
+        assert parts[-1][3] + 2 * nk < n
+    return {r: len(parts) for r, parts in per_row.items()}
+
+
 def brute_spikes(cfg):
     """Every slot triple (m1, m2, m3) of the factor lattices whose slot-signed
     sum m4 lies in the output lattice, by brute force over all triples:
@@ -537,16 +574,18 @@ class TestTrilinear:
             assert abs(spike - direct) <= 0.02 * direct
 
     def test_lhs_norm_matches_full_grid_oracle(self):
-        """Row-support transforms agree with the full-grid evaluator on the
+        """Collapsed-row transforms agree with the full-grid evaluator on the
         criterion-9 tuples and the tuple of
         test_spike_evaluator_matches_direct, for Gaussian, coherent and tuned
-        candidates, including rows narrower than half the tau grid."""
+        candidates, including rows split into clusters: the dnls (7, 7, 7, 3)
+        rows transform over at most a quarter of their widest span
+        (measured 0.21)."""
         laws = ((BENJAMIN_ONO, False), (SCHROEDINGER, True))
         cases = [("high_high_high_to_low", (5, 5, 5, 1), True),
                  ("high_high_high_to_low", (7, 7, 7, 3), True),
                  ("high_low_low_to_high", (0, 4, 7, 7), False),
                  ("low_low_low_to_low", (2, 1, 1, 2), False)]
-        narrow = 0
+        collapsed = 0
         for cls_name, ks, tuned in cases:
             for law, conj in laws:
                 cfg = es.TrilinearConfig(cls_name, ks, law=law,
@@ -564,8 +603,41 @@ class TestTrilinear:
                     assert want > 0.0
                     assert abs(got - want) <= 1e-12 * want
                 table = cfg.tau_table
-                narrow += 2 * np.max(table.hi - table.lo + 1) < table.ngrid
-        assert narrow > 0
+                collapsed += len(table.spans) > cfg.row_starts.size
+                if conj and ks == (7, 7, 7, 3):
+                    bins = np.rint((cfg.spike_om - table.tau0) / cfg.dtau)
+                    widest = np.max(np.maximum.reduceat(bins, cfg.row_starts)
+                                    - np.minimum.reduceat(bins, cfg.row_starts)
+                                    + 1)
+                    assert table.kernel_spectra.shape[1] <= widest / 4
+        assert collapsed > 0
+
+    def test_tau_table_collapse_invariants(self):
+        """The clusters of each row lie more than 2 nk bins apart on the tau
+        grid, their kernel outputs are disjoint inside the transform length,
+        and every spike sits on its collapsed position plus its cluster's
+        offset: on dnls (7, 7, 7, 3) (two clusters a row), its displaced
+        table, mbo (7, 7, 2, 2), and spikes placed on either side of the gap
+        rule, 2 nk and 2 nk + 1 bins apart.  A value test cannot see an
+        off-by-one in that rule: the kernel edges are 7e-7 to 5e-6 of its
+        peak."""
+        dnls = es.TrilinearConfig("high_high_high_to_low", (7, 7, 7, 3),
+                                  law=SCHROEDINGER, conjugate_middle=True)
+        tuned = -dnls.slot_sign[dnls.dep] * dnls.omega_mode
+        mbo = es.TrilinearConfig("high_high_low_to_low", (7, 7, 2, 2))
+        edge = es.TrilinearConfig("low_low_low_to_low", (1, 1, 3, 3))
+        nk = max((edge.window_profile(c).size - 1) // 2 for c in edge.centers)
+        assert edge.row_starts[1] >= 3
+        place = np.zeros(edge.spike_om.size)  # row 0's first three spikes
+        place[:3] = [0, 2 * nk, 4 * nk + 1]
+        edge.spike_om = edge.dtau * place
+        edge.omega_range = (0.0, float(np.max(edge.spike_om)))
+        for cfg, shift in ((dnls, 0.0), (dnls, tuned), (mbo, 0.0),
+                           (edge, 0.0)):
+            table = cfg.build_tau_table(shift)
+            clusters = assert_collapse_invariants(cfg, table, shift)
+            assert max(clusters.values()) == 2
+        assert clusters[0] == 2  # 2 nk apart: one cluster; 2 nk + 1: two
 
     @BUDGET_CASES
     def test_tau_bin_budget(self, monkeypatch, cls_name, ks, law, conj):
