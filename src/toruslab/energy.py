@@ -35,6 +35,7 @@ the quotient branch and the decomposition branch agree to rounding wherever
 both are defined.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,7 @@ TWO_PI_SQ_INV = 1.0 / (2.0 * np.pi) ** 2
 RESONANCE_THETA = 1e-6   # quotient branch iff |Omega| > theta * mu^2
 Q_CONFLUENT = 1e-5       # q(x, y) switches to the derivative form below this
 DEN_CONFLUENT = 1e-8     # deepest-degeneracy switch in the extension branch
+ORBIT_CHUNK = 4096       # Gamma4 orbit representatives per multiplier call
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +390,6 @@ class GridSimplex:
         mid = len(conv) // 2
         return int(round(conv[mid]))
 
-    def chunks(self):
-        """Yield (m1, M2, M3, M4) with m4 = -(m1+m2+m3) in band (d = 4)."""
-        if self.dimension != 4:
-            raise ValueError("chunked iteration is for d = 4")
-        b = self.band
-        rng = np.arange(-b, b + 1)
-        m2, m3 = np.meshgrid(rng, rng, indexing="ij")
-        m2 = m2.ravel()
-        m3 = m3.ravel()
-        for m1 in rng:
-            keep = np.abs(m1 + m2 + m3) <= b
-            k2, k3 = m2[keep], m3[keep]
-            yield m1, k2, k3, -(m1 + k2 + k3)
-
 
 def _coeff_lookup(u, band):
     """Coefficient table c[m + band] for |m| <= band (zero beyond support)."""
@@ -433,32 +421,101 @@ def e0_energy(sym, u, law):
     return float(np.sum(a * np.abs(u.coeffs) ** 2) / u.lam)
 
 
+def _slot_group(law):
+    """Slot permutations p that leave the law's b4 and Q unchanged on
+    Gamma4, b4(xi_p(1), ..., xi_p(4)) = b4(xi_1, ..., xi_4): all of S4 for
+    the real flow, and {e, (1 3), (2 4), (1 3)(2 4)} for the complex flow,
+    whose Omega = xi1^2 - xi2^2 + xi3^2 - xi4^2."""
+    if law.odd:
+        return list(itertools.permutations(range(4)))
+    return [(0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)]
+
+
+def _orbit_chunks(band, odd):
+    """Yield (5, n) arrays, n <= ORBIT_CHUNK: orbit representatives
+    (m1, m2, m3, m4) of the Gamma4 tuples of ``band`` under the law's slot
+    group, and their stabilizer orders.  The representatives are the sorted
+    tuples m1 <= m2 <= m3 <= m4 for the real flow and the tuples with
+    m1 <= m3, m2 <= m4 for the complex flow; each pair (m1, m2) leaves one
+    run lo <= m3 <= hi of them."""
+    m1, m2 = (a.ravel() for a in np.meshgrid(np.arange(-band, band + 1),
+                                             np.arange(-band, band + 1),
+                                             indexing="ij"))
+    if odd:
+        lo = np.maximum(m2, -(m1 + m2) - band)         # m3 >= m2, m4 <= band
+        hi = np.where(m1 <= m2, -(m1 + m2) // 2, lo - 1)   # m4 >= m3
+    else:
+        lo = np.maximum(m1, -(m1 + m2) - band)         # m3 >= m1, m4 <= band
+        hi = np.minimum(np.minimum(band, -m1 - 2 * m2),    # m4 >= m2
+                        band - m1 - m2)                    # m4 >= -band
+    keep = hi >= lo
+    m1, m2, lo = m1[keep], m2[keep], lo[keep]
+    runs = hi[keep] - lo + 1
+    ends = np.cumsum(runs)
+    start = 0
+    while start < ends.size:
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + ORBIT_CHUNK, "right")),
+                   start + 1)
+        n = runs[start:stop]
+        first = ends[start:stop] - n - base   # offset of each run in the chunk
+        r1, r2 = np.repeat(m1[start:stop], n), np.repeat(m2[start:stop], n)
+        r3 = np.repeat(lo[start:stop] - first, n) + np.arange(n.sum())
+        r4 = -(r1 + r2 + r3)
+        if odd:
+            # the sorted tuple's stabilizer is the product of its runs'
+            # factorials: each entry contributes its position within its run
+            run2 = 1 + (r1 == r2)
+            run3 = 1 + (r2 == r3) * run2
+            stab = run2 * run3 * (1 + (r3 == r4) * run3)
+        else:
+            stab = (1 + (r1 == r3)) * (1 + (r2 == r4))
+        yield np.stack([r1, r2, r3, r4, stab])
+        start = stop
+
+
 def _gamma4_sums(kind, sym, law, band, lam, batch):
     """For each entry of ``batch``, lam^-3 sum over the Gamma4 tuples of
     ``band`` of mult * sum_t weight_t * prod_i slots_t[i](m_i).
 
-    mult is b4 for kind "b4" and Q = g(xi1) + ... + g(xi4) for kind "q",
-    evaluated once per chunk of ``GridSimplex(4, band, lam).chunks()`` and
-    contracted against every entry before the next chunk.  Each entry is a
-    list of (weight, four coefficient tables), each table over |m| <= its
-    own band <= band and zero beyond.
+    mult is b4 for kind "b4" and Q = g(xi1) + ... + g(xi4) for kind "q".
+    Both are invariant under the law's slot group G (``_slot_group``), so
+    the pass walks one representative r per G-orbit of the tuples and
+    evaluates mult once there, weighted by 1/|stabilizer of r|, against the
+    sum over p in G of prod_j slots_t[p(j)](r_j), which adds up the slot
+    products of every tuple of the orbit.  Permutations that give the same
+    slot arrays (by identity) are merged, so a product of four identical
+    real-flow tables is formed once.  The representatives come in chunks of
+    at most ORBIT_CHUNK, each contracted against every entry before the
+    next.  Each entry is a list of (weight, four coefficient tables), each
+    table over |m| <= its own band <= band and zero beyond.
     """
-    simplex = GridSimplex(4, band, lam)
-    batch = [[(w, [np.pad(t, band - t.size // 2) for t in slots])
-              for w, slots in terms] for terms in batch]
+    group = _slot_group(law)
+    tables = {id(t): t for terms in batch for _, slots in terms for t in slots}
+    padded = {k: np.pad(t, band - t.size // 2) for k, t in tables.items()}
+    products = []
+    for terms in batch:
+        merged = {}
+        for w, slots in terms:
+            for p in group:
+                key = tuple(id(slots[j]) for j in p)
+                merged[key] = merged.get(key, 0.0) + w
+        products.append([(w, [padded[k] for k in key])
+                         for key, w in merged.items()])
     totals = [0.0 + 0.0j] * len(batch)
-    for m1, m2, m3, m4 in simplex.chunks():
-        xi = (m1 / lam, m2 / lam, m3 / lam, m4 / lam)
+    for rows in _orbit_chunks(band, law.odd):
+        idx = rows[:4] + band
+        xi = tuple(rows[:4] / lam)
         if kind == "b4":
             mult = b4_multiplier(sym, xi, law)
         else:
             mult = sym.g(xi[0]) + sym.g(xi[1]) + sym.g(xi[2]) + sym.g(xi[3])
-        for i, terms in enumerate(batch):
-            c = sum(w * s[0][m1 + band] * s[1][m2 + band] * s[2][m3 + band]
-                    * s[3][m4 + band] for w, s in terms)
+        mult = mult / rows[4]
+        for i, terms in enumerate(products):
+            c = sum(w * s[0][idx[0]] * s[1][idx[1]] * s[2][idx[2]]
+                    * s[3][idx[3]] for w, s in terms)
             totals[i] += np.sum(mult * c)
-        del xi, mult, m2, m3, m4, c  # hold one chunk while the next is evaluated
-    return [simplex.weight * total for total in totals]
+    return [GridSimplex(4, band, lam).weight * total for total in totals]
 
 
 def _quartic_terms(u, law, band):
@@ -475,6 +532,7 @@ def _quartic_terms(u, law, band):
 
 def e1_corrections(sym, fields, law, band=None):
     """``e1_correction`` of every field of one scale lam, from one b4 pass
+    (one evaluation per slot-group orbit of Gamma4, see ``_gamma4_sums``)
     over the widest of their bands.  Fields sharing a band get the values of
     single calls exactly; a field summed over a wider band than its own
     agrees to rounding."""
@@ -489,7 +547,10 @@ def e1_corrections(sym, fields, law, band=None):
 def e1_correction(sym, u, law, band=None):
     """Quartic correction energy with the +1-normalized multiplier; the
     corrected quantity along the sign-sigma flow is E0 + sigma * E1.  b4 is
-    evaluated one chunk at a time and never held for the whole band."""
+    evaluated once per orbit of the law's slot group on Gamma4 (about 1/23
+    of the tuples for the real flow and 1/4 for the complex flow), one chunk
+    of orbit representatives at a time, and never held for the whole
+    band."""
     return e1_corrections(sym, [u], law, band)[0]
 
 
@@ -632,7 +693,9 @@ def cancellation_check(traj, sym, band=None):
 
     One b4 pass gives every snapshot's E1 and R6 and one Q pass every R4,
     both over the widest R6 lattice band of the snapshots (at least every
-    support band).
+    support band).  A pass evaluates its multiplier once per orbit of the
+    law's slot group on Gamma4 and contracts it against every form of every
+    snapshot (``_gamma4_sums``).
 
     Returns a dict with the two max absolute discrepancies and the scales
     (max |R4|, max |R6|) for relative reporting, the series (t, E0, E1, R4,

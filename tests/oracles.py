@@ -46,6 +46,46 @@ def r6_scalar_loop(sym, u, law, band):
     return float((lam ** (-5) * energy.TWO_PI_SQ_INV * total).real)
 
 
+def simplex_chunks(simplex):
+    """Yield (m1, M2, M3, M4) with m4 = -(m1+m2+m3) in band (d = 4): every
+    Gamma4 tuple of a GridSimplex once, one chunk per m1 (the reference for
+    the orbit enumeration of energy._gamma4_sums)."""
+    if simplex.dimension != 4:
+        raise ValueError("chunked iteration is for d = 4")
+    b = simplex.band
+    rng = np.arange(-b, b + 1)
+    m2, m3 = np.meshgrid(rng, rng, indexing="ij")
+    m2 = m2.ravel()
+    m3 = m3.ravel()
+    for m1 in rng:
+        keep = np.abs(m1 + m2 + m3) <= b
+        k2, k3 = m2[keep], m3[keep]
+        yield m1, k2, k3, -(m1 + k2 + k3)
+
+
+def gamma4_sums_full(kind, sym, law, band, lam, batch):
+    """energy._gamma4_sums by full enumeration: the multiplier is evaluated
+    on every Gamma4 tuple, one m1 chunk at a time, and contracted against
+    every entry's slot products as they stand (the reference for the orbit
+    walk)."""
+    simplex = energy.GridSimplex(4, band, lam)
+    batch = [[(w, [np.pad(t, band - t.size // 2) for t in slots])
+              for w, slots in terms] for terms in batch]
+    totals = [0.0 + 0.0j] * len(batch)
+    for m1, m2, m3, m4 in simplex_chunks(simplex):
+        xi = (m1 / lam, m2 / lam, m3 / lam, m4 / lam)
+        if kind == "b4":
+            mult = energy.b4_multiplier(sym, xi, law)
+        else:
+            mult = sym.g(xi[0]) + sym.g(xi[1]) + sym.g(xi[2]) + sym.g(xi[3])
+        for i, terms in enumerate(batch):
+            c = sum(w * s[0][m1 + band] * s[1][m2 + band] * s[2][m3 + band]
+                    * s[3][m4 + band] for w, s in terms)
+            totals[i] += np.sum(mult * c)
+        del xi, mult, m2, m3, m4, c  # hold one chunk while the next is evaluated
+    return [simplex.weight * total for total in totals]
+
+
 def _padded_cube(coeffs, slots, n, period, conjugate_middle):
     """All n grid coefficients of u^3 (or u conj(u) u) on the complex n-point
     grid (the cubic product the serial stepper was built on)."""

@@ -7,7 +7,7 @@ from toruslab import runner
 from toruslab import spectral as sp
 from toruslab.bumps import next_pow2
 
-from oracles import r6_scalar_loop
+from oracles import gamma4_sums_full, r6_scalar_loop, simplex_chunks
 
 BO = ev.BENJAMIN_ONO
 NLS = ev.SCHROEDINGER
@@ -265,7 +265,7 @@ def test_grid_simplex_counts():
                 if abs(a + b + c) <= 3:
                     brute += 1
     assert simplex.count() == brute
-    chunked = sum(len(m2) for _, m2, _, _ in simplex.chunks())
+    chunked = sum(len(m2) for _, m2, _, _ in simplex_chunks(simplex))
     assert chunked == brute
 
 
@@ -449,15 +449,16 @@ def test_e1_corrections_rejects_mixed_scales(sym):
 
 
 def test_b4_finite_on_every_gamma4_tuple(sym):
-    """A Gamma4 pass evaluates b4 on every tuple of its band, including the
-    resonant ones and the zero frequency, so it must be finite on all of
-    them."""
+    """b4 is finite on every Gamma4 tuple of a band, including the resonant
+    ones and the zero frequency.  A Gamma4 pass evaluates it on one tuple
+    per orbit of the law's slot group, and any tuple can be that
+    representative."""
     for law in (BO, NLS):
         for band in range(1, 13):
             for lam in (1.0, 2.0):
                 simplex = en.GridSimplex(4, band, lam)
                 evaluated = 0
-                for m1, m2, m3, m4 in simplex.chunks():
+                for m1, m2, m3, m4 in simplex_chunks(simplex):
                     vals = en.b4_multiplier(
                         sym, (m1 / lam, m2 / lam, m3 / lam, m4 / lam), law)
                     assert np.all(np.isfinite(vals))
@@ -465,8 +466,120 @@ def test_b4_finite_on_every_gamma4_tuple(sym):
                 assert evaluated == simplex.count()
 
 
-def _cancellation_trajectory(law, nsnap=9):
-    g = sp.TorusGeometry(1.0, 32)
+# ---------------------------------------------------------------------------
+# the Gamma4 orbit walk
+
+
+def _gamma4_tuples(band):
+    """(4, count) array of every Gamma4 tuple of ``band``."""
+    chunks = [np.stack(np.broadcast_arrays(*c))
+              for c in simplex_chunks(en.GridSimplex(4, band, 1.0))]
+    return np.concatenate(chunks, axis=1)
+
+
+def _table_symbol():
+    u = rand_field(band=20, seed=12)
+    return en.build_symbol(en.build_envelope(u, 0.3, 0.1), 2, 0.3, 0.1)
+
+
+def test_b4_invariant_under_the_slot_group(sym):
+    """The orbit walk's premise: on lattice tuples b4 is invariant under
+    every slot permutation of the law's group (S4 for the real flow, the
+    swaps (1 3) and (2 4) for the complex flow), for the power and the table
+    symbol.  Measured per band B <= 20 against max |b4| over the tuples of
+    B, since tuples with Q = 0 carry b4 of rounding size."""
+    tuples = _gamma4_tuples(20)
+    reach = np.max(np.abs(tuples), axis=0)
+    for symbol in (sym, _table_symbol()):
+        for lam in (1.0, 2.0):
+            xi = tuples / lam
+            for law in (BO, NLS):
+                b4 = en.b4_multiplier(symbol, tuple(xi), law)
+                worst = np.zeros_like(b4)
+                for p in en._slot_group(law):
+                    moved = en.b4_multiplier(symbol, tuple(xi[list(p)]), law)
+                    worst = np.maximum(worst, np.abs(moved - b4))
+                for band in range(1, 21):
+                    inside = reach <= band
+                    assert (np.max(worst[inside])
+                            <= 1e-12 * np.max(np.abs(b4[inside])))
+
+
+def test_orbit_representatives_cover_the_simplex_once():
+    """Expanding each representative under the law's group gives every
+    Gamma4 tuple exactly once, and the orbit sizes |G|/|stabilizer| sum to
+    the simplex count."""
+    for law in (BO, NLS):
+        group = en._slot_group(law)
+        for band in range(1, 13):
+            rows = np.concatenate(list(en._orbit_chunks(band, law.odd)),
+                                  axis=1)
+            images = np.stack([rows[list(p)] for p in group])  # (|G|, 4, n)
+            orbits = [np.unique(images[:, :, k], axis=0)
+                      for k in range(rows.shape[1])]
+            sizes = np.array([len(o) for o in orbits])
+            assert np.array_equal(sizes * rows[4], np.full_like(sizes,
+                                                                len(group)))
+            assert sizes.sum() == en.GridSimplex(4, band, 1.0).count()
+            expanded = np.concatenate(orbits)
+            distinct = np.unique(expanded, axis=0)
+            assert len(distinct) == len(expanded)
+            assert np.array_equal(distinct,
+                                  np.unique(_gamma4_tuples(band).T, axis=0))
+
+
+def _gamma4_values(sym, law, lam):
+    """E1, R4 and R6 of one field, a mixed-band e1_corrections batch, and
+    the series of one cancellation check, flattened."""
+    real = law.odd
+    u = rand_field(band=12, real=real, seed=50, lam=lam)
+    mixed = [rand_field(m=32, band=b, real=real, amp=0.5, seed=51 + b,
+                        lam=lam) for b in (3, 5, 9)]
+    values = [en.e1_correction(sym, u, law), en.r4_form(sym, u, law, -1),
+              en.r6_form(sym, u, law)]
+    values += en.e1_corrections(sym, mixed, law)
+    traj = _cancellation_trajectory(law, lam=lam)
+    series = en.cancellation_check(traj, sym)["series"]
+    for s in series[2:]:
+        values += list(s)
+    return np.array(values)
+
+
+def test_orbit_walk_matches_full_enumeration(sym, monkeypatch):
+    """The orbit walk agrees with the per-m1 full enumeration on every
+    quartic form and batch, for both laws at lam 1 and 2."""
+    for lam in (1.0, 2.0):
+        for law in (BO, NLS):
+            for symbol in (sym, _table_symbol()):
+                fast = _gamma4_values(symbol, law, lam)
+                with monkeypatch.context() as m:
+                    m.setattr(en, "_gamma4_sums", gamma4_sums_full)
+                    full = _gamma4_values(symbol, law, lam)
+                assert np.max(np.abs(fast - full) / np.abs(full)) <= 1e-12
+
+
+def test_e1_correction_evaluates_b4_on_orbit_representatives(monkeypatch):
+    """Cost guard: a band-85 E1 evaluates b4 on at most count/20 tuples for
+    the real flow (S4 orbits) and count/3 for the complex flow."""
+    tuples = []
+    original = en.b4_multiplier
+
+    def counted(sym, xi, law):
+        tuples.append(np.size(xi[0]))
+        return original(sym, xi, law)
+
+    monkeypatch.setattr(en, "b4_multiplier", counted)
+    sym = en.DyadicSymbol.from_exponent(0.3)
+    count = en.GridSimplex(4, 85, 1.0).count()
+    for law, share in ((BO, 20), (NLS, 3)):
+        tuples.clear()
+        u = rand_field(m=256, band=85, real=law.odd, seed=60)
+        en.e1_correction(sym, u, law)
+        assert 0 < sum(tuples) <= count / share
+
+
+def _cancellation_trajectory(law, nsnap=9, lam=1.0):
+    g = sp.TorusGeometry(lam, 32)
     u0 = sp.random_field(g, np.random.default_rng(42), band=7, real=law.odd,
                          decay=2.0) * 0.4
     prob = ev.FlowProblem(law, -1, u0)
@@ -488,8 +601,9 @@ def test_cancellation_series_match_standalone_forms(sym):
 
 
 def test_cancellation_evaluates_b4_once_per_chunk(sym, monkeypatch):
-    """Cost guard: one cancellation check evaluates b4 once per chunk of its
-    band B (2B + 1 chunks), whatever the number of snapshots."""
+    """Cost guard: one cancellation check makes at most 2B + 1 b4 calls at
+    its band B (one per m1 of a full enumeration), whatever the number of
+    snapshots."""
     calls = []
     original = en.b4_multiplier
 
@@ -507,8 +621,8 @@ def test_cancellation_evaluates_b4_once_per_chunk(sym, monkeypatch):
 
 def test_boundary_bound_evaluates_b4_once_per_chunk(monkeypatch):
     """Cost guard for criterion 6: one b4 pass per truncation serves every
-    draw (2B + 1 chunks at band B = 31, 63, 85), and one more serves the
-    amplitude pair at its support band of at most 5."""
+    draw (at most 2B + 1 calls at band B = 31, 63, 85), and one more serves
+    the amplitude pair at its support band of at most 5."""
     calls = []
     original = en.b4_multiplier
 
