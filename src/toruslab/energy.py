@@ -23,6 +23,9 @@ and Omega the resonance function of the law:
     b4 = -(2 pi)^-2 / 2 * Q / Omega,  Omega = xi1^2 - xi2^2 + xi3^2 - xi4^2
     R6 = 2 lam^-3 * sum i b4 (xi1 F(xi1) v2 u3 v4 + xi2 G(xi2) u1 u3 v4),
          F = coefficients of |u|^2 u, G(xi) = conj(F(-xi))
+       = 4 lam^-3 * Re sum i b4 xi1 F(xi1) v2 u3 v4, as the second sum is
+         minus the conjugate of the first (reflect xi -> -xi, then swap
+         slots (1 2)(3 4): the real b4 is odd under each)
 
 Both cubes (what, F) come from ``spectral.cubic_coeffs`` on the four-fold
 padded grid, where every slot is exact.
@@ -606,8 +609,7 @@ def _r6_terms(u, law, band):
     if law.odd:
         return w_band, [(4.0 / 3.0, [utab, utab, utab, xi * wtab])]
     bar = np.conj(utab[::-1])
-    return w_band, [(2.0, [xi * wtab, bar, utab, bar]),
-                    (2.0, [utab, xi * np.conj(wtab[::-1]), utab, bar])]
+    return w_band, [(4.0, [xi * wtab, bar, utab, bar])]
 
 
 def r6_form(sym, u, law, band=None):
@@ -615,8 +617,11 @@ def r6_form(sym, u, law, band=None):
     flow whose nonlinearity is truncated to ``band`` (default: the
     integrator's dealiased band).  Computed by contracting three slots
     through the exact cubic convolution: weight * i * b4 * xi_s times the
-    slot product, with the cube and its frequency xi_s in slot s.  R6 and b4
-    do not depend on sigma (sigma^2 = 1), so neither does this form."""
+    slot product, with the cube and its frequency xi_s in slot s.  The
+    complex flow's second term is minus the conjugate of the first (reflect
+    xi -> -xi, then swap slots (1 2)(3 4): the real b4 is odd under each),
+    so one term of weight 4 carries both.  R6 and b4 do not depend on sigma
+    (sigma^2 = 1), so neither does this form."""
     if band is None:
         band = dealias_band(u.geometry)
     lattice, terms = _r6_terms(u, law, band)

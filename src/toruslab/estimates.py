@@ -37,11 +37,12 @@ window kernel is collapsed to the kernel width, which leaves the
 convolution unchanged (the conjugated three-highs-to-low rows span almost
 the whole grid, in two clusters).  The binning, the collapsed layout, the
 kernel spectra and the annulus weights on the covered bins do not depend on
-the profiles and are tabulated when a TrilinearConfig is built (for
-displaced spikes, when asked).  The factor F-norms factor into the lattice
-L2 of the profile times a window constant per block; a TrilinearConfig
-evaluates the unmodulated constants when it is built and a modulated one
-when asked, and no state is shared between configurations.
+the profiles and are tabulated when a TrilinearConfig is built; a tuned
+candidate displaces every spike and the tau grid alike, so it only re-weighs
+the annuli.  The factor F-norms factor into the lattice L2 of the profile
+times a window constant per block; a TrilinearConfig evaluates the
+unmodulated constants when it is built and a modulated one when asked, and
+no state is shared between configurations.
 """
 
 from dataclasses import dataclass
@@ -474,21 +475,6 @@ INTERACTION_CLASSES = {
 TRILINEAR_TAU_BINS = 8  # spike-grid delta-tau = 2^k4 / this
 
 
-@dataclass(frozen=True)
-class TauTable:
-    """Spike grid, collapsed row layout, window-kernel spectra and annulus
-    weights of TrilinearConfig.lhs_norm (see TrilinearConfig.build_tau_table).
-    """
-
-    tau0: float
-    covered: np.ndarray       # grid bin of each weights column
-    scatter: np.ndarray       # flat (row, collapsed position) of each spike
-    spans: list               # per cluster: (row, first column, end column,
-                              # transform bin of the first column)
-    kernel_spectra: np.ndarray  # (centers, n)
-    weights: np.ndarray       # (annuli, covered bins)
-
-
 class TrilinearConfig:
     """Precomputed interaction spikes for one block tuple.
 
@@ -521,7 +507,7 @@ class TrilinearConfig:
         self.dep = int(order[2])
         self.slot_sign = [1, -1 if conjugate_middle else 1, 1]
         self._build_spikes()
-        self.tau_table = self.build_tau_table()
+        self._build_layout()
         # unmodulated window constants, one evaluation per distinct block
         unit = {k: self.factor_window_constant(self.ks.index(k))
                 for k in set(self.ks[:3])}
@@ -529,9 +515,9 @@ class TrilinearConfig:
 
     def _build_spikes(self):
         """Every interaction spike, concatenated output row by output row:
-        its row, modulation offset, output frequency and each slot's lattice
-        position, plus the spike-grid scale and the modulation range and
-        mode.
+        its modulation offset and each slot's lattice position, plus each
+        row's first spike and output mode, the spike-grid scale and the
+        modulation range and mode.
 
         The two free lattices are enumerated; the dependent slot's index
         follows from the output index m4.  A slot of sign +1 contributes its
@@ -560,14 +546,13 @@ class TrilinearConfig:
             raise ValueError("empty interaction set for this block tuple")
         sizes = [p.size for p in picks]
         self.row_starts = np.cumsum([0] + sizes[:-1])
-        self.spike_row = np.repeat(np.arange(len(live)), sizes)
+        self.row_modes = np.array(live)
         pick = np.concatenate(picks)
         m4 = np.repeat(live, sizes)
         m = {a: ma[pick], b: mb[pick]}
         m[d] = sd * (m4 - sa * m[a] - sb * m[b])
         self.spike_om = (sa * law.omega(m[a]) + sb * law.omega(m[b])
                          + sd * law.omega(m[d]) - law.omega(m4))
-        self.spike_xi4 = m4.astype(float)
         self.spike_pos = [np.searchsorted(self.lattices[s], m[s])
                           for s in range(3)]
         self.dtau = 2.0**k4 / TRILINEAR_TAU_BINS
@@ -582,9 +567,10 @@ class TrilinearConfig:
         self.omega_mode = float(0.5 * (edges[imax] + edges[imax + 1]))
         self.reach = 120.0 * 2.0**k4
 
-    def build_tau_table(self, shift=0.0):
-        """Profile-independent part of lhs_norm for spikes displaced by
-        ``shift``, at the config's window centers.
+    def _build_layout(self):
+        """Profile-independent part of lhs_norm at the config's window
+        centers.  Spikes displaced by a common shift keep all of it but the
+        annulus weights (see lhs_norm).
 
         Spikes sit on the bins of tau0 + dtau * arange(ngrid).  A window
         profile is a kernel of 2 nk + 1 bins, so a spike on bin b reaches
@@ -595,16 +581,17 @@ class TrilinearConfig:
         convolution is unchanged.  A cluster on bins F..L with collapsed
         offset ``off`` (bin = position + off) convolves to bins
         F - nk..L + nk, clipped to the grid.  Every row and center shares
-        one 5-smooth transform length n above the widest collapsed row.  The
-        weights are tabulated only on the bins that some cluster covers;
-        they fold the tau-bin measure dtau and the resolvent
-        1 / (tau^2 + 4^k4) into eta_j(tau)^2.
+        one 5-smooth transform length n above the widest collapsed row.
+        Stored: tau0 and ngrid; ``scatter``, the flat (row, collapsed
+        position) of each spike; ``spans``, per cluster its row, first and
+        end weights column and the transform bin of its first column;
+        ``covered``, the grid bin of each weights column; ``kernel_spectra``
+        (centers, n); and the undisplaced ``weights`` (annuli, covered bins).
         """
-        k4 = self.ks[3]
-        tau0 = self.omega_range[0] + shift - self.reach
-        tau_hi = self.omega_range[1] + shift + self.reach
-        ngrid = int(np.ceil((tau_hi - tau0) / self.dtau)) + 1
-        bins = np.rint((self.spike_om + shift - tau0) / self.dtau).astype(int)
+        self.tau0 = self.omega_range[0] - self.reach
+        tau_hi = self.omega_range[1] + self.reach
+        self.ngrid = ngrid = int(np.ceil((tau_hi - self.tau0) / self.dtau)) + 1
+        bins = np.rint((self.spike_om - self.tau0) / self.dtau).astype(int)
         kernels = [self.window_profile(c) for c in self.centers]
         nk = max((kern.size - 1) // 2 for kern in kernels)
         # the occupied bins of every row, row after row, on one flat mask;
@@ -613,7 +600,8 @@ class TrilinearConfig:
         width = np.maximum.reduceat(bins, self.row_starts) - lo + 1
         base = np.cumsum(width) - width  # mask index of each row's bin lo
         flat = bins  # in place: the mask index of each spike
-        flat += (base - lo)[self.spike_row]
+        sizes = np.diff(np.r_[self.row_starts, bins.size])
+        flat += np.repeat(base - lo, sizes)
         occupied = np.zeros(int(np.sum(width)), dtype=bool)
         occupied[flat] = True
         occ = np.flatnonzero(occupied)
@@ -636,29 +624,34 @@ class TrilinearConfig:
         place = np.repeat(crow * n + cstart - start,
                           np.diff(np.r_[start, occupied.size]))
         place += np.arange(occupied.size)
+        self.scatter = place[flat]
         spectra = np.zeros((len(kernels), n), dtype=complex)
         for row, kern in zip(spectra, kernels):  # centered on bin nk
             pad = nk - (kern.size - 1) // 2
             row[pad:pad + kern.size] = kern
-        spectra = np.fft.fft(spectra, axis=1)
+        self.kernel_spectra = np.fft.fft(spectra, axis=1)
         dst_lo = np.maximum(cfirst - nk, 0)
         dst_hi = np.minimum(clast + nk + 1, ngrid)
         cover = np.cumsum(np.bincount(dst_lo, minlength=ngrid + 1)
                           - np.bincount(dst_hi, minlength=ngrid + 1))[:-1] > 0
-        covered = np.flatnonzero(cover)
+        self.covered = np.flatnonzero(cover)
         column = (np.cumsum(cover) - 1)[dst_lo]  # first column of each span
-        taus = tau0 + self.dtau * covered
-        tau_max = max(abs(tau0), abs(tau0 + self.dtau * (ngrid - 1)))
+        self.spans = list(zip(crow.tolist(), column.tolist(),
+                              (column + dst_hi - dst_lo).tolist(),
+                              (dst_lo + nk - offset).tolist()))
+        self.weights = self._annulus_weights(0.0)
+
+    def _annulus_weights(self, shift):
+        """eta_j(tau)^2 dtau / (tau^2 + 4^k4) on the covered bins of the
+        tau grid displaced by ``shift``: the annulus weights fold the tau-bin
+        measure and the resolvent into the partition."""
+        tau0 = self.tau0 + shift
+        taus = tau0 + self.dtau * self.covered
+        tau_max = max(abs(tau0), abs(tau0 + self.dtau * (self.ngrid - 1)))
         weights = bumps.eta_stack(taus, bumps.max_resolved_j(tau_max))
         weights *= weights
-        weights *= self.dtau / (taus**2 + 4.0**k4)
-        return TauTable(
-            tau0=tau0, covered=covered, scatter=place[flat],
-            spans=list(zip(crow.tolist(), column.tolist(),
-                           (column + dst_hi - dst_lo).tolist(),
-                           (dst_lo + nk - offset).tolist())),
-            kernel_spectra=spectra, weights=weights,
-        )
+        weights *= self.dtau / (taus**2 + 4.0**self.ks[3])
+        return weights
 
     def envelope(self, t):
         return bumps.eta0(t / self.env_scale)
@@ -705,42 +698,43 @@ class TrilinearConfig:
 
         ``thetas`` are per-slot modulation shifts: slot s carries an extra
         phase exp(i theta_s t), displacing every interaction spike by the
-        slot-signed sum of shifts.  The tau table of build_tau_table is the
-        one built with the config unless the spikes are displaced.  The spike
-        amplitudes are scattered into one row per output mode, its clusters
-        laid out with their gaps collapsed, and transformed once; each of
-        the config's window centers then costs one batched inverse transform
-        against its kernel spectrum, whose power is added, span by span,
-        into the covered tau bins and weighed by the annuli in one matrix
-        product.
+        slot-signed sum of shifts.  That moves every spike and the tau grid
+        alike, so the layout built with the config serves every call, and a
+        displacement only re-weighs the annuli.  The spike amplitudes are
+        scattered into one row per output mode, its clusters laid out with
+        their gaps collapsed, each row scaled by i m4 / (2 pi)^2, and
+        transformed once; each of the config's window centers then costs one
+        batched inverse transform against its kernel spectrum, whose power is
+        added, span by span, into the covered tau bins and weighed by the
+        annuli in one matrix product.
         """
         shift = 0.0
         for s in range(3):
             shift += self.slot_sign[s] * float(thetas[s])
-        table = self.tau_table if shift == 0.0 else self.build_tau_table(shift)
+        weights = (self.weights if shift == 0.0
+                   else self._annulus_weights(shift))
         amp = 1.0
         for s in (self.free_a, self.free_b, self.dep):
             val = profiles[s][self.spike_pos[s]]
             amp = amp * (np.conj(val) if self.slot_sign[s] == -1 else val)
-        pref = 1.0 / (2.0 * np.pi) ** 2
-        spikes = np.zeros((self.row_starts.size, table.kernel_spectra.shape[1]),
+        spikes = np.zeros((self.row_starts.size, self.kernel_spectra.shape[1]),
                           dtype=complex)
-        np.add.at(spikes.reshape(-1), table.scatter,
-                  amp * (1j * self.spike_xi4) * pref)
+        np.add.at(spikes.reshape(-1), self.scatter, amp)
+        spikes *= (1j / (2.0 * np.pi) ** 2 * self.row_modes)[:, None]
         if not np.any(spikes):
             return 0.0
         spec = np.fft.fft(spikes, axis=1)
-        jscale = 2.0 ** (np.arange(table.weights.shape[0]) * 0.5)
+        jscale = 2.0 ** (np.arange(weights.shape[0]) * 0.5)
         nut, rowpower, imag2 = spikes, np.empty(spec.shape), np.empty(spec.shape)
         best = 0.0
-        for kspec in table.kernel_spectra:  # buffers reused across centers
+        for kspec in self.kernel_spectra:  # buffers reused across centers
             np.fft.ifft(np.multiply(spec, kspec, out=nut), axis=1, out=nut)
             np.square(nut.real, out=rowpower)
             rowpower += np.square(nut.imag, out=imag2)
-            power = np.zeros(table.covered.size)
-            for row, lo, hi, src in table.spans:
+            power = np.zeros(self.covered.size)
+            for row, lo, hi, src in self.spans:
                 power[lo:hi] += rowpower[row, src:src + hi - lo]
-            blocks = table.weights @ power
+            blocks = weights @ power
             total = np.sum(jscale * np.sqrt(np.maximum(blocks, 0.0)))
             best = max(best, float(total))
         return best

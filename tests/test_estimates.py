@@ -52,22 +52,32 @@ def oracle_window_constant(cfg, s, theta=0.0):
     return best
 
 
-def assert_collapse_invariants(cfg, table, shift=0.0):
-    """Assert the collapsed row layout of ``table`` (cfg.build_tau_table at
-    ``shift``) and return the number of clusters of each row.  A span's
-    columns are a run of grid bins; its transform bin src holds the kernel
-    output of the grid bin of its first column, so a spike on collapsed
-    position p (kernel centered on output p + nk) belongs to the span whose
-    outputs hold p + nk, and its grid bin is p + nk - src + that first bin."""
+def spike_bins(cfg):
+    """Grid bin of each spike on the config's tau grid."""
+    return np.rint((cfg.spike_om - cfg.tau0) / cfg.dtau).astype(int)
+
+
+def row_sizes(cfg):
+    return np.diff(np.r_[cfg.row_starts, cfg.spike_om.size])
+
+
+def assert_collapse_invariants(cfg):
+    """Assert the collapsed row layout of ``cfg`` and return the number of
+    clusters of each row.  A span's columns are a run of grid bins; its
+    transform bin src holds the kernel output of the grid bin of its first
+    column, so a spike on collapsed position p (kernel centered on output
+    p + nk) belongs to the span whose outputs hold p + nk, and its grid bin
+    is p + nk - src + that first bin."""
     nk = max((cfg.window_profile(c).size - 1) // 2 for c in cfg.centers)
-    n = table.kernel_spectra.shape[1]
-    grid = np.rint((cfg.spike_om + shift - table.tau0) / cfg.dtau).astype(int)
-    row, pos = np.divmod(table.scatter, n)
-    assert np.array_equal(row, cfg.spike_row)
+    n = cfg.kernel_spectra.shape[1]
+    grid = spike_bins(cfg)
+    row, pos = np.divmod(cfg.scatter, n)
+    assert np.array_equal(row, np.repeat(np.arange(cfg.row_starts.size),
+                                         row_sizes(cfg)))
     owner = np.full(pos.size, -1)
     per_row = {}
-    for i, (r, lo, hi, src) in enumerate(table.spans):
-        first, end = table.covered[lo], table.covered[hi - 1]
+    for i, (r, lo, hi, src) in enumerate(cfg.spans):
+        first, end = cfg.covered[lo], cfg.covered[hi - 1]
         assert end - first == hi - lo - 1  # a run of grid bins
         mine = (row == r) & (pos + nk >= src) & (pos + nk < src + hi - lo)
         assert np.all(owner[mine] == -1)
@@ -75,7 +85,7 @@ def assert_collapse_invariants(cfg, table, shift=0.0):
         assert np.array_equal(grid[mine], pos[mine] + nk - src + first)
         lo_bin, hi_bin = int(np.min(grid[mine])), int(np.max(grid[mine]))
         assert first == max(lo_bin - nk, 0)
-        assert end == min(hi_bin + nk, table.covered[-1])
+        assert end == min(hi_bin + nk, cfg.covered[-1])
         per_row.setdefault(r, []).append(
             (lo_bin, hi_bin, int(np.min(pos[mine])), int(np.max(pos[mine]))))
     assert np.all(owner >= 0)
@@ -468,6 +478,10 @@ BUDGET_CASES = pytest.mark.parametrize("cls_name, ks, law, conj", [
 ])
 
 
+TUNED_TUPLES = [(cls_name, ks) for cls_name, recipe in TRILINEAR_SWEEPS.items()
+                if recipe["tuned"] for ks in recipe["sweep"]]
+
+
 class TestTrilinear:
     def test_class_validation(self):
         with pytest.raises(ValueError):
@@ -505,7 +519,7 @@ class TestTrilinear:
                                      conjugate_middle=conj)
             got = np.stack(
                 [l[p] for l, p in zip(cfg.lattices, cfg.spike_pos)]
-                + [np.rint(cfg.spike_xi4).astype(int)], axis=1)
+                + [np.repeat(cfg.row_modes, row_sizes(cfg))], axis=1)
             want, om = brute_spikes(cfg)
             gorder = np.lexsort(got.T[::-1])
             worder = np.lexsort(want.T[::-1])
@@ -602,28 +616,41 @@ class TestTrilinear:
                     want = oracle_lhs_norm(cfg, prof, thetas=thetas)
                     assert want > 0.0
                     assert abs(got - want) <= 1e-12 * want
-                table = cfg.tau_table
-                collapsed += len(table.spans) > cfg.row_starts.size
+                collapsed += len(cfg.spans) > cfg.row_starts.size
                 if conj and ks == (7, 7, 7, 3):
-                    bins = np.rint((cfg.spike_om - table.tau0) / cfg.dtau)
+                    bins = spike_bins(cfg)
                     widest = np.max(np.maximum.reduceat(bins, cfg.row_starts)
                                     - np.minimum.reduceat(bins, cfg.row_starts)
                                     + 1)
-                    assert table.kernel_spectra.shape[1] <= widest / 4
+                    assert cfg.kernel_spectra.shape[1] <= widest / 4
         assert collapsed > 0
 
     def test_tau_table_collapse_invariants(self):
         """The clusters of each row lie more than 2 nk bins apart on the tau
         grid, their kernel outputs are disjoint inside the transform length,
         and every spike sits on its collapsed position plus its cluster's
-        offset: on dnls (7, 7, 7, 3) (two clusters a row), its displaced
-        table, mbo (7, 7, 2, 2), and spikes placed on either side of the gap
-        rule, 2 nk and 2 nk + 1 bins apart.  A value test cannot see an
-        off-by-one in that rule: the kernel edges are 7e-7 to 5e-6 of its
-        peak."""
-        dnls = es.TrilinearConfig("high_high_high_to_low", (7, 7, 7, 3),
-                                  law=SCHROEDINGER, conjugate_middle=True)
-        tuned = -dnls.slot_sign[dnls.dep] * dnls.omega_mode
+        offset: on dnls (7, 7, 7, 3) (two clusters a row), mbo (7, 7, 2, 2),
+        and spikes placed on either side of the gap rule, 2 nk and 2 nk + 1
+        bins apart.  A value test cannot see an off-by-one in that rule: the
+        kernel edges are 7e-7 to 5e-6 of its peak.
+
+        The tuned candidate keeps this layout: on every tuned criterion-9
+        tuple, spikes and grid displaced by the tuned shift bin as the
+        config's do (the binning a displaced table used to rebuild)."""
+        built = {}
+        for cls_name, ks in TUNED_TUPLES:
+            for law, conj in ((BENJAMIN_ONO, False), (SCHROEDINGER, True)):
+                cfg = es.TrilinearConfig(cls_name, ks, law=law,
+                                         conjugate_middle=conj)
+                shift = -cfg.omega_mode  # slot sign times the tuned theta
+                tau0 = cfg.omega_range[0] + shift - cfg.reach
+                tau_hi = cfg.omega_range[1] + shift + cfg.reach
+                bins = np.rint((cfg.spike_om + shift - tau0) / cfg.dtau)
+                assert np.array_equal(bins, spike_bins(cfg)), (ks, conj)
+                ngrid = int(np.ceil((tau_hi - tau0) / cfg.dtau)) + 1
+                assert ngrid == cfg.ngrid, (ks, conj)
+                built[ks, conj] = cfg
+        dnls = built[(7, 7, 7, 3), True]
         mbo = es.TrilinearConfig("high_high_low_to_low", (7, 7, 2, 2))
         edge = es.TrilinearConfig("low_low_low_to_low", (1, 1, 3, 3))
         nk = max((edge.window_profile(c).size - 1) // 2 for c in edge.centers)
@@ -632,12 +659,31 @@ class TestTrilinear:
         place[:3] = [0, 2 * nk, 4 * nk + 1]
         edge.spike_om = edge.dtau * place
         edge.omega_range = (0.0, float(np.max(edge.spike_om)))
-        for cfg, shift in ((dnls, 0.0), (dnls, tuned), (mbo, 0.0),
-                           (edge, 0.0)):
-            table = cfg.build_tau_table(shift)
-            clusters = assert_collapse_invariants(cfg, table, shift)
+        edge._build_layout()
+        for cfg in (dnls, mbo, edge):
+            clusters = assert_collapse_invariants(cfg)
             assert max(clusters.values()) == 2
         assert clusters[0] == 2  # 2 nk apart: one cluster; 2 nk + 1: two
+
+    def test_tuned_call_reuses_layout(self, monkeypatch):
+        """Once a config is built, a tuned candidate transforms no window
+        profile and builds no layout: its displacement only re-weighs the
+        annuli."""
+        cls_name, ks = TUNED_TUPLES[0]
+        configs = [es.TrilinearConfig(cls_name, ks, law=law,
+                                      conjugate_middle=conj)
+                   for law, conj in ((BENJAMIN_ONO, False),
+                                     (SCHROEDINGER, True))]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("layout rebuilt inside lhs_norm")
+
+        monkeypatch.setattr(es.TrilinearConfig, "window_profile", forbidden)
+        monkeypatch.setattr(es.TrilinearConfig, "_build_layout", forbidden)
+        for cfg in configs:
+            thetas = [0.0, 0.0, 0.0]
+            thetas[cfg.dep] = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
+            assert cfg.lhs_norm(cfg.coherent_profiles(), thetas=thetas) > 0.0
 
     @BUDGET_CASES
     def test_tau_bin_budget(self, monkeypatch, cls_name, ks, law, conj):
@@ -667,7 +713,7 @@ class TestTrilinear:
         prof = cfg.profiles(es.sample_rng(10, 0))
         pinned = cfg.lhs_norm(prof)
         cfg.reach *= 4
-        cfg.tau_table = cfg.build_tau_table()
+        cfg._build_layout()
         wide = cfg.lhs_norm(prof)
         assert abs(pinned - wide) <= 1e-5 * wide
 
