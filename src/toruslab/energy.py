@@ -672,29 +672,21 @@ def r6_enumerated(sym, u, law, band=None):
 
 
 def _fd_derivative(series, dt):
-    """Central difference of a uniformly sampled series: fourth order where
-    the stencil fits (n >= 5), second order otherwise; returns (interior
-    indices, derivative values)."""
+    """Fourth-order central difference of a uniformly sampled series of at
+    least five points; returns (interior indices, derivative values)."""
     f = np.asarray(series, dtype=float)
-    n = f.size
-    if n < 3:
-        raise ValueError("need at least three snapshots")
-    if n >= 5:
-        idx = np.arange(2, n - 2)
-        d = (-f[idx + 2] + 8.0 * f[idx + 1] - 8.0 * f[idx - 1] + f[idx - 2]) / (
-            12.0 * dt
-        )
-    else:
-        idx = np.arange(1, n - 1)
-        d = (f[idx + 1] - f[idx - 1]) / (2.0 * dt)
+    idx = np.arange(2, f.size - 2)
+    d = (-f[idx + 2] + 8.0 * f[idx + 1] - 8.0 * f[idx - 1] + f[idx - 2]) / (
+        12.0 * dt
+    )
     return idx, d
 
 
 def cancellation_check(traj, sym, band=None):
-    """Compare finite-difference d/dt of E0 and of E0 + sigma E1 against the
-    algebraic forms R4 and R6 along one trajectory with uniform snapshot
-    times; R6 is taken for the flow truncated to ``band`` (default: the
-    dealiased band).
+    """Compare fourth-order finite-difference d/dt of E0 and of
+    E0 + sigma E1 against the algebraic forms R4 and R6 along one trajectory
+    of at least five uniform snapshot times; R6 is taken for the flow
+    truncated to ``band`` (default: the dealiased band).
 
     One b4 pass gives every snapshot's E1 and R6 and one Q pass every R4,
     both over the widest R6 lattice band of the snapshots (at least every
@@ -710,8 +702,8 @@ def cancellation_check(traj, sym, band=None):
     law = traj.problem.law
     sigma = traj.problem.sigma
     n = len(traj)
-    if n < 3:
-        raise ValueError("need at least three snapshots")
+    if n < 5:
+        raise ValueError("need at least five snapshots")
     dts = np.diff(traj.times)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise ValueError("snapshot times must be uniform")

@@ -5,15 +5,18 @@ Every measurement returns an EstimateReport holding per-configuration max and
 mean left/right ratios, the least-squares slope of log2(max ratio) against
 the sweep coordinate, and a verdict comparing the slope to its prediction.
 Reports are pure functions of (seed, configuration): samples are drawn from
-per-index generators, so enlarging an ensemble extends it.  The four
-dispersive families share one loop, _family_report, which skips a member
-exactly when its ratio is not finite and positive (a zero denominator gives
-nan) and counts each skip once, as trilinear_ratio does.
+per-index generators, so enlarging an ensemble extends it.  Each member
+evaluation returns an (lhs, rhs) pair, and _ensemble_ratios alone divides:
+it skips a member exactly when its rhs is zero or its ratio is not finite
+and positive.  The four dispersive families share one loop, _family_report,
+which counts each skip once, as trilinear_ratio does.
 
-The time grid of a block-data family takes sixteen points per 2 pi of the
+A block-data family reads each member onto block n's lattice once
+(_block_members).  Its time grid takes sixteen points per 2 pi of the
 intra-block phase spread, and its spatial grid of nx = next_pow2(4 mmax + 8)
-points (_block_nx, mmax the top mode of the data) has at least 4x headroom
-over the data band; for block data at dyadic lam, nx = 8 (mmax + 1).
+points, one per block with mmax the top mode of block n's lattice (on which
+every member is nonzero), has at least 4x headroom over the data band; for
+block data at dyadic lam, nx = 8 (mmax + 1).
 No family forms the whole space-time grid of the two.  The bilinear,
 maximal and local smoothing families build block n's lattice and its phase
 table exp(i t omega_m) once and share them among the block's members.  The
@@ -149,12 +152,18 @@ def flat_block_data(n, lam=1.0):
 
 
 def _block_members(seed, count, n, lam, coherent):
-    """Members 0..count-1 of the Gaussian family on block n, then (if
-    ``coherent``) the flat candidate."""
-    members = [block_sample(seed, i, n, lam) for i in range(count)]
+    """Block n's lattice modes and, for members 0..count-1 of the Gaussian
+    family on block n and then (if ``coherent``) the flat candidate, each
+    member's (coefficients on that lattice, L2 norm)."""
+    modes = _block_lattice(n, lam)
+
+    def read(u):
+        return u.coeffs[modes % u.geometry.grid_size], u.l2_norm()
+
+    members = [read(block_sample(seed, i, n, lam)) for i in range(count)]
     if coherent:
-        members.append(flat_block_data(n, lam))
-    return members
+        members.append(read(flat_block_data(n, lam)))
+    return modes, members
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +187,8 @@ def _product_rows(amodes, arows, bmodes, brows):
     """Lattice coefficients of the product of two fields given by their rows
     on sorted modes, one row per time, on the modes amodes[0] + bmodes[0]
     through amodes[-1] + bmodes[-1]: a sum of shifted copies of the rows of
-    the factor with more modes, one per mode of the other.  Each run of
-    consecutive modes of that factor is shifted as one slice."""
-    if amodes.size < bmodes.size:
-        amodes, arows, bmodes, brows = bmodes, brows, amodes, arows
+    the first factor, which has more modes, one per mode of the other.  Each
+    run of consecutive modes of the first factor is shifted as one slice."""
     out = np.zeros((arows.shape[0], amodes[-1] - amodes[0] + bmodes[-1]
                     - bmodes[0] + 1), dtype=complex)
     cuts = np.flatnonzero(np.diff(amodes) > 1) + 1
@@ -203,17 +210,13 @@ def _time_grid(n):
     return np.linspace(0.0, delta, nt)
 
 
-def _block_nx(*u0s):
-    mmax = 0
-    for u in u0s:
-        nz = np.abs(u.coeffs) > 0.0
-        if np.any(nz):
-            mmax += int(np.max(np.abs(u.geometry.mvals[nz])))
-    return bumps.next_pow2(4 * mmax + 8)
-
-
-def _ensemble_ratios(values):
-    vals = np.asarray(values, dtype=float)
+def _ensemble_ratios(pairs):
+    """Max and mean of lhs / rhs over the (lhs, rhs) pairs of an ensemble,
+    and the number of members kept: a member is skipped when its rhs is zero
+    or its ratio is not finite and positive."""
+    lhs, rhs = np.array(pairs, dtype=float).reshape(-1, 2).T
+    live = rhs != 0.0
+    vals = lhs[live] / rhs[live]
     vals = vals[np.isfinite(vals) & (vals > 0.0)]
     if vals.size == 0:
         return np.nan, np.nan, 0
@@ -221,16 +224,15 @@ def _ensemble_ratios(values):
 
 
 def _family_report(name, sweep, lam, block, slope_tol):
-    """The loop of every dispersive family: ``block(x)`` returns the members
-    at sweep value x and the ratio of one member.  A member whose ratio is
-    not finite and positive is skipped; the report counts each skipped
-    member once."""
+    """The loop of every dispersive family: ``block(x)`` returns the
+    (lhs, rhs) pair of each member at sweep value x.  The report counts each
+    member that _ensemble_ratios skips once."""
     points = []
     skipped = 0
     for x in sweep:
-        members, ratio = block(x)
-        mx, mean, kept = _ensemble_ratios([ratio(m) for m in members])
-        skipped += len(members) - kept
+        pairs = block(x)
+        mx, mean, kept = _ensemble_ratios(pairs)
+        skipped += len(pairs) - kept
         points.append(RatioPoint(float(x), lam, mx, mean))
     return make_report(name, points, 0.0, slope_tol, skipped=skipped)
 
@@ -257,7 +259,7 @@ def l4_modulation_ratio(j_values, seed=0, count=32, law=SCHROEDINGER,
     om = law.omega(modes)
     nx = bumps.fast_len(4 * int(np.max(np.abs(modes))) + 1)
 
-    def members_at(j):
+    def pairs_at(j):
         shape = (modes.size, 2 ** (j + 1) + 1)
         members = []
         for i in range(count):
@@ -275,19 +277,16 @@ def l4_modulation_ratio(j_values, seed=0, count=32, law=SCHROEDINGER,
         phases = free_rows(1.0, modes, t, law)
         cell = (2.0 * np.pi) ** 2 / (nt * nx)
 
-        def ratio(c):
+        def pair(c):
             vals = synthesize((profile @ c.T) * phases, modes % nx, nx,
                               2.0 * np.pi)
             power = vals.real**2 + vals.imag**2
-            l2 = np.sqrt(cell * np.sum(power))
-            if l2 == 0.0:
-                return np.nan
             l4 = (cell * np.sum(power**2)) ** 0.25
-            return l4 / (2.0 ** (3.0 * j / 8.0) * l2)
+            return l4, 2.0 ** (3.0 * j / 8.0) * np.sqrt(cell * np.sum(power))
 
-        return members, ratio
+        return [pair(c) for c in members]
 
-    return _family_report("l4_modulation", j_values, 1.0, members_at,
+    return _family_report("l4_modulation", j_values, 1.0, pairs_at,
                           slope_tol)
 
 
@@ -299,41 +298,35 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
 
     No space-time grid is formed: at each time the squared L2_x norm of the
     product is the lattice sum of its squared coefficients over period^3
-    (discrete Parseval; the band of uv lies below nx/2 for the
-    nx = _block_nx(u0, v0) grid, so its quadrature gives the same value).
-    The product coefficients are shifted rows of the factor with more modes,
-    one shift per mode of the other.
+    (discrete Parseval: the band of uv lies below nx/2 on any grid of at
+    least 4x headroom, so its quadrature gives the same value).  The product
+    coefficients are shifted rows of u0's, which has at least 8x the modes
+    of v0 as n - k >= 4, one shift per mode of v0.
     """
     if any(n - k < 4 for n in n_values):
         raise ValueError("blocks must satisfy n - k >= 4")
+    period = 2.0 * np.pi * lam
 
-    def members_at(n):
+    def pairs_at(n):
         times = _time_grid(n)
-        pairs = list(zip(
-            _block_members(seed, count, n, lam, include_coherent),
-            _block_members(seed + 104729, count, k, lam, include_coherent),
-        ))
-        umodes, vmodes = _block_lattice(n, lam), _block_lattice(k, lam)
+        umodes, us = _block_members(seed, count, n, lam, include_coherent)
+        vmodes, vs = _block_members(seed + 104729, count, k, lam,
+                                    include_coherent)
         uphase = free_rows(1.0, umodes / lam, times, law)
         vphase = free_rows(1.0, vmodes / lam, times, law)
 
-        def ratio(pair):
-            u0, v0 = pair
-            prod = _product_rows(
-                umodes, u0.coeffs[umodes % u0.geometry.grid_size] * uphase,
-                vmodes, v0.coeffs[vmodes % v0.geometry.grid_size] * vphase)
+        def pair(u, v):
+            (uc, ul2), (vc, vl2) = u, v
+            prod = _product_rows(umodes, uc * uphase, vmodes, vc * vphase)
             parts = prod.view(float)
             l2sq = np.einsum("tp,tp->t", parts, parts)  # sum_p |(uv)^_p|^2
-            lhs = np.sqrt(np.trapezoid(l2sq, times) / u0.geometry.period**3)
-            denom = 2.0 ** (-n / 2.0) * u0.l2_norm() * v0.l2_norm()
-            if denom == 0.0:
-                return np.nan
-            return lhs / denom
+            return (np.sqrt(np.trapezoid(l2sq, times) / period**3),
+                    2.0 ** (-n / 2.0) * ul2 * vl2)
 
-        return pairs, ratio
+        return [pair(u, v) for u, v in zip(us, vs)]
 
     # after dividing by 2^(-n/2) the predicted residual slope is zero
-    return _family_report("bilinear", n_values, lam, members_at, slope_tol)
+    return _family_report("bilinear", n_values, lam, pairs_at, slope_tol)
 
 
 def maximal_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
@@ -343,30 +336,30 @@ def maximal_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
     ratio then grows at the predicted quarter power).
 
     The phase table of block n is built once and shared by its members.
-    Each member's free solution is synthesized on the nx = _block_nx(u0)
-    grid in blocks of time rows of at most CHUNK_BYTES, and only the running
-    sup over t of |u(t, x)| is kept; no whole space-time grid is formed.
+    Each member's free solution is synthesized on block n's nx-point grid in
+    blocks of time rows of at most CHUNK_BYTES, and only the running sup
+    over t of |u(t, x)| is kept; no whole space-time grid is formed.
     """
+    period = 2.0 * np.pi * lam
 
-    def members_at(n):
-        modes = _block_lattice(n, lam)
+    def pairs_at(n):
+        modes, members = _block_members(seed, count, n, lam, include_coherent)
         phases = free_rows(1.0, modes / lam, _time_grid(n), law)
+        nx = bumps.next_pow2(4 * int(modes[-1]) + 8)
+        slots = modes % nx
+        per = max(1, CHUNK_BYTES // (16 * nx))
 
-        def ratio(u0):
-            g = u0.geometry
-            rows = u0.coeffs[modes % g.grid_size] * phases
-            nx = _block_nx(u0)
-            per = max(1, CHUNK_BYTES // (16 * nx))
+        def pair(c, l2):
+            rows = c * phases
             sup = np.zeros(nx)
             for lo in range(0, rows.shape[0], per):
-                vals = synthesize(rows[lo:lo + per], modes % nx, nx, g.period)
+                vals = synthesize(rows[lo:lo + per], slots, nx, period)
                 np.maximum(sup, np.max(np.abs(vals), axis=0), out=sup)
-            return (float(lebesgue_norm(sup, lam, 4))
-                    / (2.0 ** (n / 4.0) * u0.l2_norm()))
+            return float(lebesgue_norm(sup, lam, 4)), 2.0 ** (n / 4.0) * l2
 
-        return _block_members(seed, count, n, lam, include_coherent), ratio
+        return [pair(c, l2) for c, l2 in members]
 
-    return _family_report("maximal", n_values, lam, members_at, slope_tol)
+    return _family_report("maximal", n_values, lam, pairs_at, slope_tol)
 
 
 def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
@@ -383,38 +376,35 @@ def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
     table P[t, m] = exp(i t omega_m), H = P^T diag(w) conj(P) is built once
     per block, and each member's T(x) = sum_t w_t |u(t, x)|^2, which is
     sum_{m, m'} c_m conj(c_m') H[m, m'] exp(i (m - m') x / lam) / period^2,
-    is one bincount over m - m' mod nx and one inverse transform on the
-    nx = _block_nx(u0) grid points; exact, as the band of |u|^2 lies below
-    nx/2.
+    is one bincount over m - m' mod nx and one inverse transform on block
+    n's nx grid points; exact, as the band of |u|^2 lies below nx/2.
     """
+    period = 2.0 * np.pi * lam
 
-    def members_at(n):
+    def pairs_at(n):
         times = _time_grid(n)
         norm = 2.0 ** (-n / 2.0)
         if log_normalized:
             norm *= max(float(n), 1.0)
-        modes = _block_lattice(n, lam)
+        modes, members = _block_members(seed, count, n, lam, include_coherent)
         phases = free_rows(1.0, modes / lam, times, law)
         half = 0.5 * np.diff(times)  # trapezoid weights w_t
         weights = np.r_[half, 0.0] + np.r_[0.0, half]
         gram = (phases.T * weights) @ np.conj(phases)
-        diff = (modes[:, None] - modes[None, :]).ravel()
+        nx = bumps.next_pow2(4 * int(modes[-1]) + 8)
+        slot = (modes[:, None] - modes[None, :]).ravel() % nx
 
-        def ratio(u0):
-            g = u0.geometry
-            c = u0.coeffs[modes % g.grid_size]
-            pair = (c[:, None] * gram * np.conj(c)).ravel()
-            nx = _block_nx(u0)
-            slot = diff % nx
-            band = (np.bincount(slot, pair.real, nx)
-                    + 1j * np.bincount(slot, pair.imag, nx))
-            energy = np.fft.ifft(band).real * (nx / g.period**2)  # T(x)
-            return float(np.sqrt(np.max(energy))) / (norm * u0.l2_norm())
+        def pair(c, l2):
+            prod = (c[:, None] * gram * np.conj(c)).ravel()
+            band = (np.bincount(slot, prod.real, nx)
+                    + 1j * np.bincount(slot, prod.imag, nx))
+            energy = np.fft.ifft(band).real * (nx / period**2)  # T(x)
+            return float(np.sqrt(np.max(energy))), norm * l2
 
-        return _block_members(seed, count, n, lam, include_coherent), ratio
+        return [pair(c, l2) for c, l2 in members]
 
     name = "smoothing_log" if log_normalized else "smoothing"
-    return _family_report(name, n_values, lam, members_at, slope_tol)
+    return _family_report(name, n_values, lam, pairs_at, slope_tol)
 
 
 def smoothing_grid_operator_norm(n):
@@ -553,8 +543,12 @@ class TrilinearConfig:
         m[d] = sd * (m4 - sa * m[a] - sb * m[b])
         self.spike_om = (sa * law.omega(m[a]) + sb * law.omega(m[b])
                          + sd * law.omega(m[d]) - law.omega(m4))
-        self.spike_pos = [np.searchsorted(self.lattices[s], m[s])
-                          for s in range(3)]
+        # positions at the narrowest integer type (uint8 for k <= 7), each
+        # slot cast and its modes dropped in turn, to bound peak memory
+        self.spike_pos = [
+            np.searchsorted(latt, m.pop(s)).astype(
+                np.min_scalar_type(latt.size - 1))
+            for s, latt in enumerate(self.lattices)]
         self.dtau = 2.0**k4 / TRILINEAR_TAU_BINS
         omin, omax = float(np.min(self.spike_om)), float(np.max(self.spike_om))
         self.omega_range = (omin, omax)
@@ -838,14 +832,10 @@ def trilinear_ratio(cls_name, ks, law=BENJAMIN_ONO,
         tuned[cfg.dep] = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
         triples.append((flat, tuple(tuned)))
 
-    def ratio(profiles, thetas):
-        lhs = cfg.lhs_norm(profiles, thetas=thetas)
-        rhs = np.prod(cfg.rhs_factor_norms(profiles, thetas=thetas))
-        if rhs == 0.0:
-            return np.nan
-        return lhs / (cfg.alpha * rhs)
-
-    mx, mean, kept = _ensemble_ratios([ratio(*t) for t in triples])
+    mx, mean, kept = _ensemble_ratios(
+        [(cfg.lhs_norm(profiles, thetas=thetas),
+          cfg.alpha * np.prod(cfg.rhs_factor_norms(profiles, thetas=thetas)))
+         for profiles, thetas in triples])
     return RatioPoint(float(ks[0]), 1.0, mx, mean), len(triples) - kept
 
 

@@ -172,6 +172,23 @@ def oracle_lhs_norm(cfg, profiles, thetas=(0.0, 0.0, 0.0)):
 
 
 
+def block_nx(*u0s):
+    """Power-of-two spatial grid with 4x headroom over the summed top modes
+    of the fields' supports: the grid of the oracles below."""
+    mmax = 0
+    for u in u0s:
+        nz = np.abs(u.coeffs) > 0.0
+        if np.any(nz):
+            mmax += int(np.max(np.abs(u.geometry.mvals[nz])))
+    return bumps.next_pow2(4 * mmax + 8)
+
+
+def block_fields(seed, n, lam):
+    """Member 0 of the Gaussian family on block n and the flat candidate, as
+    fields: the members of a count-1 family with its coherent member."""
+    return [es.block_sample(seed, 0, n, lam), es.flat_block_data(n, lam)]
+
+
 def time_chunks(times, size=256):
     """Slices of the time grid that share their end points, so trapezoid
     sums over them add up to the sum over the whole grid, and no chunk's
@@ -182,9 +199,9 @@ def time_chunks(times, size=256):
 
 def oracle_smoothing_norm(u0, law, times):
     """||u||_{Linf_x L2_t} of the free solution on the space-time grid of
-    _block_nx(u0) points (the evaluation the lattice route of
+    block_nx(u0) points (the evaluation the lattice route of
     smoothing_ratio replaced), built in chunks of times."""
-    nx = es._block_nx(u0)
+    nx = block_nx(u0)
     total = 0.0
     for sl in time_chunks(times):
         vals = es.free_solution_grid(u0, law, times[sl], nx)
@@ -194,9 +211,9 @@ def oracle_smoothing_norm(u0, law, times):
 
 def oracle_maximal_norm(u0, law, times):
     """||u||_{L4_x Linf_t} of the free solution on the space-time grid of
-    _block_nx(u0) points (the evaluation the streamed route of maximal_ratio
+    block_nx(u0) points (the evaluation the streamed route of maximal_ratio
     replaced), built in chunks of times."""
-    nx = es._block_nx(u0)
+    nx = block_nx(u0)
     sup = 0.0
     for sl in time_chunks(times):
         vals = es.free_solution_grid(u0, law, times[sl], nx)
@@ -206,10 +223,10 @@ def oracle_maximal_norm(u0, law, times):
 
 def oracle_bilinear_ratio(u0, v0, n, law):
     """||u v||_{L2_t L2_x([0, 2^-n])} / (2^(-n/2) ||u0|| ||v0||) with both
-    free solutions on the space-time grid of _block_nx(u0, v0) points (the
+    free solutions on the space-time grid of block_nx(u0, v0) points (the
     evaluation the lattice route of bilinear_ratio replaced)."""
     times = es._time_grid(n)
-    nx = es._block_nx(u0, v0)
+    nx = block_nx(u0, v0)
     dx = u0.geometry.period / nx
     total = 0.0
     for sl in time_chunks(times):
@@ -317,8 +334,13 @@ def test_bilinear():
 
 
 def test_zero_factor_skipped():
-    mx, mean, kept = es._ensemble_ratios([0.0, np.nan])
-    assert kept == 0
+    """A member is skipped when its rhs is zero or its ratio is not finite
+    and positive; the kept ratios give the max and mean."""
+    mx, mean, kept = es._ensemble_ratios(
+        [(0.0, 1.0), (np.nan, 1.0), (1.0, 0.0), (0.0, 0.0), (np.inf, 2.0)])
+    assert kept == 0 and np.isnan(mx) and np.isnan(mean)
+    mx, mean, kept = es._ensemble_ratios([(3.0, 2.0), (1.0, 0.0), (1.0, 2.0)])
+    assert (mx, mean, kept) == (1.5, 1.0, 2)
 
 
 def test_maximal():
@@ -366,7 +388,7 @@ def test_smoothing_matches_grid_oracle(law, lam):
                 norm *= max(float(n), 1.0)
             ratios = [oracle_smoothing_norm(u0, law, times)
                       / (norm * u0.l2_norm())
-                      for u0 in es._block_members(15, 1, n, lam, True)]
+                      for u0 in block_fields(15, n, lam)]
             assert_matches_oracle(point, ratios)
 
 
@@ -382,7 +404,7 @@ def test_maximal_matches_grid_oracle(law, lam):
         times = es._time_grid(n)
         ratios = [oracle_maximal_norm(u0, law, times)
                   / (2.0 ** (n / 4.0) * u0.l2_norm())
-                  for u0 in es._block_members(18, 1, n, lam, True)]
+                  for u0 in block_fields(18, n, lam)]
         assert_matches_oracle(point, ratios)
 
 
@@ -398,8 +420,8 @@ def test_bilinear_matches_grid_oracle(law, lam):
         for n, point in zip(ns, rep.points):
             ratios = [oracle_bilinear_ratio(u0, v0, n, law)
                       for u0, v0 in zip(
-                          es._block_members(16, 1, n, lam, True),
-                          es._block_members(16 + 104729, 1, k, lam, True))]
+                          block_fields(16, n, lam),
+                          block_fields(16 + 104729, k, lam))]
             assert_matches_oracle(point, ratios)
 
 
@@ -446,7 +468,7 @@ def test_conjugation_reflection_identity():
     n = 4
     delta = 2.0**-n
     times = np.linspace(0.0, delta, 257)
-    nx = es._block_nx(u0)
+    nx = block_nx(u0)
     a = es.free_solution_grid(ubar, SCHROEDINGER, times, nx)
     b = es.free_solution_grid(u0, SCHROEDINGER, -times, nx)
     la = np.trapezoid(lebesgue_norm(a, 1.0, 4) ** 6, times) ** (1.0 / 6.0)
@@ -517,6 +539,8 @@ class TestTrilinear:
         for law, conj in ((BENJAMIN_ONO, False), (SCHROEDINGER, True)):
             cfg = es.TrilinearConfig(cls_name, ks, law=law,
                                      conjugate_middle=conj)
+            for latt, pos in zip(cfg.lattices, cfg.spike_pos):
+                assert pos.dtype == np.min_scalar_type(latt.size - 1)
             got = np.stack(
                 [l[p] for l, p in zip(cfg.lattices, cfg.spike_pos)]
                 + [np.repeat(cfg.row_modes, row_sizes(cfg))], axis=1)
@@ -799,17 +823,22 @@ class TestTrilinear:
         assert np.isfinite(rep.slope)
 
 
-def test_zero_member_skipped_once(monkeypatch):
+@pytest.mark.parametrize("family", [
+    lambda sweep: es.bilinear_ratio(sweep, 1, count=2),
+    lambda sweep: es.maximal_ratio(sweep, count=2),
+    lambda sweep: es.smoothing_ratio(sweep, count=2),
+], ids=["bilinear", "maximal", "smoothing"])
+def test_zero_member_skipped_once(monkeypatch, family):
     """A zero member is one skipped member per sweep value: with a zero
-    coherent member the bilinear denominator is 0, its ratio nan, and the
-    report counts one skip at each sweep value."""
+    coherent member the family's rhs is 0, and the report counts one skip
+    at each sweep value."""
     def zero(n, lam=1.0):
         g = es._block_geometry(n, lam)
         return SpectralField(g, np.zeros(g.grid_size, dtype=complex))
 
     monkeypatch.setattr(es, "flat_block_data", zero)
     sweep = [5, 6, 7]
-    rep = es.bilinear_ratio(sweep, 1, count=2)
+    rep = family(sweep)
     assert rep.skipped == len(sweep)
     assert all(np.isfinite(p.max_ratio) for p in rep.points)
 
