@@ -48,21 +48,26 @@ def smoothstep_prime(x):
 
 def eta0(tau):
     """Even smooth cutoff: 1 on [-5/4, 5/4], supported in [-8/5, 8/5]."""
-    t = np.abs(np.asarray(tau, dtype=float))
-    return smoothstep((OUTER - t) / (OUTER - INNER))
+    x = (OUTER - np.abs(np.asarray(tau, dtype=float))) / (OUTER - INNER)
+    return smoothstep(x)
+
+
+def eta_rows(tau, jmax):
+    """Yield eta_0 .. eta_jmax of the dyadic modulation partition at tau, with
+    eta_j = eta0(tau/2^j) - eta0(tau/2^(j-1)) for j >= 1: each eta0(tau/2^j)
+    is evaluated once and at most two rows are held."""
+    tau = np.asarray(tau, dtype=float)
+    prev = 0.0
+    for j in range(jmax + 1):
+        cur = eta0(tau / 2.0**j)
+        yield cur - prev
+        prev = cur
 
 
 def eta_stack(tau, jmax):
-    """Rows eta_0 .. eta_jmax of the dyadic modulation partition at tau, with
-    eta_j = eta0(tau/2^j) - eta0(tau/2^(j-1)) for j >= 1: each eta0(tau/2^j)
-    is evaluated once and the stack is differenced in place."""
-    tau = np.asarray(tau, dtype=float)
-    out = np.empty((jmax + 1,) + tau.shape)
-    for j in range(jmax + 1):
-        out[j] = eta0(tau / 2.0**j)
-    for j in range(jmax, 0, -1):
-        out[j] -= out[j - 1]
-    return out
+    """Rows eta_0 .. eta_jmax of eta_rows as one (jmax + 1, ...) array."""
+    row = np.dtype((float, np.shape(tau)))
+    return np.fromiter(eta_rows(tau, jmax), dtype=row, count=jmax + 1)
 
 
 def max_resolved_j(tau_max):

@@ -23,17 +23,19 @@ sum_l W_j(tau_l) |ghat(tau_l)|^2, W_j = eta_j^2 (over tau^2 + 4^k for the
 nonlinearity norm).  That equals the lag sum over |d| < n of K_j[d] A[d], with
 the lag kernel K_j = Re fft(W_j) and the mode-summed autocorrelation
 A[d] = sum_modes sum_i g_(i+d) conj(g_i), exact from an FFT of length
-L = min(next_pow2(2n + 8), npad): 256 against npad = 4096 at k = 6.  A call
-builds the kernels once, on the npad of its longest window, for all its
-windows and fields (with tau_bins >= 3 and dt <= 2^-k the bin floor
-2 pi tau_bins / (2^k dt) exceeds four window lengths, so every window would
-pick that npad anyway), and reduces the windows in (windows, L, modes)
-batches of at most CHUNK_BYTES.  The lag sum cancels down from the window's
-power, so an annulus holding a tiny share of it loses accuracy; the m-th
-difference of g (m < 4) tilts that power, (4 sin^2(tau dt / 2))^m |ghat|^2,
-to high tau, and each annulus takes the form with the smallest rounding
-bound A_m[0] |K_j,m|_1.  A near-empty annulus can still sum to a tiny
-negative, clamped to zero.
+L = min(next_pow2(2n + 8), npad): 256 against npad = 4096 at k = 6.  A block
+weighs all its windows and fields on the npad of its longest window (with
+tau_bins >= 3 and dt <= 2^-k the bin floor 2 pi tau_bins / (2^k dt) exceeds
+four window lengths, so every window would pick that npad anyway), and
+reduces the windows in (windows, L, modes) batches of at most CHUNK_BYTES.
+Each npad is a power of two on one dt, so an F assembly transforms each
+weight row once, at its largest npad, and folds the result onto every
+block's grid; the resolvent weight of N depends on k, so N builds per block.
+The lag sum cancels down from the window's power, so an annulus holding a
+tiny share of it loses accuracy; the m-th difference of g (m < 4) tilts that
+power, (4 sin^2(tau dt / 2))^m |ghat|^2, to high tau, and each annulus takes
+the form with the smallest rounding bound A_m[0] |K_j,m|_1.  A near-empty
+annulus can still sum to a tiny negative, clamped to zero.
 """
 
 from dataclasses import dataclass
@@ -124,27 +126,50 @@ def modulated_profile_field(geometry, mvals, tgrid, profile, envelope, law):
     return SpaceTimeField(geometry, mvals, t, vals, (float(t[0]), float(t[-1])))
 
 
-def _lag_kernels(npad, lags, dt, k, nj, resolvent):
-    """Lag kernels (forms, lags, nj) of the weights W_j on the npad-point tau
-    grid, form m for the m-th difference of the segment (W_j over
-    (4 sin^2(tau dt / 2))^m, j >= 1 when m > 0), with their l1 norms."""
-    taut = 2.0 * np.pi * np.fft.rfftfreq(npad, dt)
-    weight = 1.0 / (taut**2 + 4.0**k) if resolvent else 1.0
+def _kernel_target(longest, k, dt, tau_bins):
+    """(npad, lags) of block-k windows whose longest has `longest` rows."""
+    floor = int(np.ceil(2.0 * np.pi / (2.0**k / tau_bins * dt)))
+    npad = bumps.next_pow2(max(4 * longest, floor))
+    nlag = min(bumps.next_pow2(2 * (longest + DIFFERENCE_FORMS)), npad)
+    return npad, np.fft.fftfreq(nlag, 1.0 / nlag).astype(int) % npad
+
+
+def _lag_kernels(targets, dt, resolvent_k=None):
+    """Lag kernels (forms, lags, nj) of the weights W_j, with their l1 norms,
+    at each (npad, lags) target; form m is for the m-th difference of the
+    segment (W_j over (4 sin^2(tau dt / 2))^m, j >= 1 when m > 0).  Every
+    tau grid subsamples the one at the largest npad (powers of two on one
+    dt), so each nonzero row is transformed once there and its aliases are
+    folded in halves, x[:n] + x[n:], onto every target.  The resolvent
+    1 / (tau^2 + 4^k) depends on k, so its kernels serve one block."""
+    top = max(npad for npad, _ in targets)
+    taut = 2.0 * np.pi * np.fft.rfftfreq(top, dt)
+    weight = 1.0 if resolvent_k is None else 1.0 / (taut**2 + 4.0**resolvent_k)
     diff = 4.0 * np.sin(0.5 * dt * taut) ** 2
-    kern = np.zeros((DIFFERENCE_FORMS, lags.size, nj))
-    for j, eta in enumerate(bumps.eta_stack(taut, nj - 1)):
+    nj = bumps.max_resolved_j(np.pi / dt) + 1
+    kerns = [np.zeros((DIFFERENCE_FORMS, lags.size, nj)) for _, lags in targets]
+    plan = sorted(zip(targets, kerns), key=lambda p: -p[0][0])
+    for j, eta in enumerate(bumps.eta_rows(taut, nj - 1)):
         w = eta**2 * weight
+        if not np.any(w):  # an annulus beyond the Nyquist frequency
+            continue
         for m in range(DIFFERENCE_FORMS if j else 1):
             if m:  # W_j (j >= 1) vanishes near tau = 0, where diff does
                 w = np.divide(w, diff, out=np.zeros_like(w), where=w > 0)
-            kern[m, :, j] = np.fft.irfft(w, npad)[lags]
-    return kern, np.sum(np.abs(kern), axis=1)
+            x = np.fft.irfft(w, top)
+            for (npad, lags), kern in plan:
+                while x.size > npad:
+                    x = x[:x.size // 2] + x[x.size // 2:]
+                if np.any(w[::top // npad]):  # else only rounding survives
+                    kern[m, :, j] = x[lags]
+    return [(kern, np.sum(np.abs(kern), axis=1)) for kern in kerns]
 
 
-def _modulation_sup(fields, rows, k, b, law, resolvent, tau_bins):
+def _modulation_sup(fields, rows, k, b, law, resolvent, tau_bins, kernels=None):
     """Largest block norm of each field over the windowed segments
     w * nu[lo:lo + w.size], (lo, w) in rows, of its demodulated active
-    columns nu; the fields share one time grid and the lag kernels."""
+    columns nu; the fields share one time grid and the lag kernels (this
+    block's `_lag_kernels` entry, built here unless given)."""
     f0, dt = fields[0], fields[0].dt
     cols = [f.active_columns() for f in fields]
     if any(np.any(c & ~block_indicator(f0.xi, k)) for c in cols):
@@ -155,13 +180,12 @@ def _modulation_sup(fields, rows, k, b, law, resolvent, tau_bins):
     best = [0.0] * len(fields)
     if not nus or not rows:
         return best
-    longest = max(w.size for _, w in rows)
-    floor = int(np.ceil(2.0 * np.pi / (2.0**k / tau_bins * dt)))
-    npad = bumps.next_pow2(max(4 * longest, floor))
-    nlag = min(bumps.next_pow2(2 * (longest + DIFFERENCE_FORMS)), npad)
-    lags = np.fft.fftfreq(nlag, 1.0 / nlag).astype(int) % npad
-    jweights = 2.0 ** (b * np.arange(bumps.max_resolved_j(np.pi / dt) + 1))
-    kern, norm1 = _lag_kernels(npad, lags, dt, k, jweights.size, resolvent)
+    if kernels is None:
+        target = _kernel_target(max(w.size for _, w in rows), k, dt, tau_bins)
+        kernels = _lag_kernels([target], dt, k if resolvent else None)[0]
+    kern, norm1 = kernels
+    nlag = kern.shape[1]
+    jweights = 2.0 ** (b * np.arange(kern.shape[2]))
     kern *= 2.0 * np.pi * dt / f0.geometry.lam
     diff = 4.0 * np.sin(np.pi * np.arange(nlag) / nlag) ** 2
     tilt = diff ** np.arange(DIFFERENCE_FORMS)[:, None]
@@ -172,9 +196,11 @@ def _modulation_sup(fields, rows, k, b, law, resolvent, tau_bins):
             seg = np.zeros((len(chunk), nlag, nu.shape[1]), dtype=complex)
             for n, (lo, w) in enumerate(chunk):
                 seg[n, :w.size] = nu[lo:lo + w.size] * w[:, None]
-            spec = np.fft.fft(seg, axis=1)
-            power = np.sum(spec.real**2 + spec.imag**2, axis=2)
-            acf = np.fft.ifft(power * tilt[:, None, :], axis=-1).real
+            np.fft.fft(seg, axis=1, out=seg)
+            power = np.sum(seg.real**2 + seg.imag**2, axis=2)
+            acf = np.zeros((DIFFERENCE_FORMS, len(chunk), nlag), dtype=complex)
+            np.multiply(power, tilt[:, None, :], out=acf.real)
+            acf = np.fft.ifft(acf, axis=-1, out=acf).real
             err = acf[..., :1] * norm1[:, None, :]
             err[1:, :, 0] = np.inf  # eta_0 has no difference form
             form = np.argmin(err, axis=0)[None]
@@ -203,20 +229,21 @@ def window_centers(support, k):
     return lo + step * np.arange(n)
 
 
-def _window_rows(field, k, centers):
-    """(first row, weights eta0(2^k (t - c))) of each window with two or more
-    samples."""
-    t = field.tgrid
+def _window_spans(t, support, k, centers=None):
+    """(first row, end row, center) of each window with two or more rows."""
     if centers is None:
-        centers = window_centers(field.support, k)
+        centers = window_centers(support, k)
     halfwidth = bumps.OUTER * 2.0**-k
-    rows = []
-    for c in centers:
-        lo = np.searchsorted(t, c - halfwidth)
-        hi = np.searchsorted(t, c + halfwidth, side="right")
-        if hi - lo >= 2:
-            rows.append((lo, bumps.eta0(2.0**k * (t[lo:hi] - c))))
-    return rows
+    lo = np.searchsorted(t, np.asarray(centers) - halfwidth)
+    hi = np.searchsorted(t, np.asarray(centers) + halfwidth, side="right")
+    return [(a, b, c) for a, b, c in zip(lo, hi, centers) if b - a >= 2]
+
+
+def _window_rows(field, k, centers=None):
+    """(first row, weights eta0(2^k (t - c))) of each window span."""
+    t = field.tgrid
+    return [(lo, bumps.eta0(2.0**k * (t[lo:hi] - c)))
+            for lo, hi, c in _window_spans(t, field.support, k, centers)]
 
 
 def fk_norm(field, k, law, b=0.5, centers=None,
@@ -233,17 +260,17 @@ def nk_norm(field, k, law, b=0.5, centers=None,
     return _modulation_sup([field], rows, k, b, law, True, tau_bins)[0]
 
 
+def _cut_support(support, t_lim, width):
+    return max(support[0], -t_lim - width), min(support[1], t_lim + width)
+
+
 def time_cutoff(field, t_lim, width):
     """Multiply by a smooth plateau, one on [-t_lim, t_lim], vanishing beyond
     [-t_lim - width, t_lim + width]."""
     chi = bumps.plateau(field.tgrid, -t_lim, t_lim, width)
-    return SpaceTimeField(
-        field.geometry,
-        field.mvals,
-        field.tgrid,
-        field.values * chi[:, None],
-        (max(field.support[0], -t_lim - width), min(field.support[1], t_lim + width)),
-    )
+    return SpaceTimeField(field.geometry, field.mvals, field.tgrid,
+                          field.values * chi[:, None],
+                          _cut_support(field.support, t_lim, width))
 
 
 def assembled_norm(fields, s, kind, t_lim, law=None,
@@ -254,9 +281,12 @@ def assembled_norm(fields, s, kind, t_lim, law=None,
     kind "E": ell2 over blocks of 2^(2ks) * sup_t ||P_k u(t)||_L2^2;
     kind "F"/"N": same assembly from the windowed block norms of the field
     smoothly cut off at scale max(2^-k-10, 4 dt) outside [-T, T], with one
-    window-row and lag-kernel build per block for all fields.  Evaluating
-    the concrete cut-off field over-estimates the extension infimum, which is
-    the safe direction for upper-bound checks.
+    window-row build per block for all fields.  F sizes every block's tau
+    grid from its window extents first and folds all blocks' lag kernels
+    from one `_lag_kernels` call; N, whose resolvent weight depends on k,
+    builds them per block.  Evaluating the concrete cut-off field
+    over-estimates the extension infimum, the safe direction for upper-bound
+    checks.
     """
     if kind not in ("E", "F", "N"):
         raise ValueError(f"unknown norm kind {kind!r}")
@@ -266,23 +296,32 @@ def assembled_norm(fields, s, kind, t_lim, law=None,
             for f in fields}) > 1:
         raise ValueError("fields must share geometry, lattice and time grid")
     first = fields[0]
-    g = first.geometry
+    g, dt = first.geometry, first.dt
+    blocks = [k for k in range(max_block(g) + 1)
+              if np.any(block_indicator(first.xi, k))]
+    widths = {k: max(2.0 ** (-k - 10), 4.0 * dt) for k in blocks}
+    targets, kernels = {}, {}
+    for k in blocks if kind == "F" else ():
+        spans = _window_spans(first.tgrid, _cut_support(
+            first.support, t_lim, widths[k]), k)
+        if spans:
+            longest = max(hi - lo for lo, hi, _ in spans)
+            targets[k] = _kernel_target(longest, k, dt, tau_bins)
+    if targets:
+        kernels = dict(zip(targets, _lag_kernels(list(targets.values()), dt)))
     totals = [0.0] * len(fields)
     tsel = (first.tgrid >= -t_lim - 1e-12) & (first.tgrid <= t_lim + 1e-12)
-    for k in range(max_block(g) + 1):
-        mask = block_indicator(first.xi, k)
-        if not np.any(mask):
-            continue
+    for k in blocks:
         if kind == "E":
+            mask = block_indicator(first.xi, k)
             sq = [np.sum(np.abs(f.values[:, mask][tsel]) ** 2, axis=1)
                   / (2.0 * np.pi * g.lam) for f in fields]
             vals2 = [float(np.max(q)) if np.any(tsel) else 0.0 for q in sq]
         else:
-            width = max(2.0 ** (-k - 10), 4.0 * first.dt)
-            cuts = [time_cutoff(f.restrict_block(k), t_lim, width)
+            cuts = [time_cutoff(f.restrict_block(k), t_lim, widths[k])
                     for f in fields]
-            rows = _window_rows(cuts[0], k, None)
             vals2 = [v**2 for v in _modulation_sup(
-                cuts, rows, k, 0.5, law, kind == "N", tau_bins)]
+                cuts, _window_rows(cuts[0], k), k, 0.5, law, kind == "N",
+                tau_bins, kernels.pop(k, None))]
         totals = [t + 4.0 ** (k * s) * v for t, v in zip(totals, vals2)]
     return [float(np.sqrt(t)) for t in totals]

@@ -17,6 +17,23 @@ def eta_j(tau, j):
     )
 
 
+def lag_kernels_direct(npad, lags, dt, nj):
+    """Lag kernels (forms, lags, nj) of W_j = eta_j^2, over
+    (4 sin^2(tau dt / 2))^m for form m (j >= 1 when m > 0), each from its
+    own inverse transform on the npad-point tau grid (the reference for the
+    folded kernels of spacetime._lag_kernels)."""
+    taut = 2.0 * np.pi * np.fft.rfftfreq(npad, dt)
+    diff = 4.0 * np.sin(0.5 * dt * taut) ** 2
+    kern = np.zeros((4, lags.size, nj))
+    for j in range(nj):
+        w = eta_j(taut, j) ** 2
+        for m in range(4 if j else 1):
+            if m:
+                w = np.divide(w, diff, out=np.zeros_like(w), where=w > 0)
+            kern[m, :, j] = np.fft.irfft(w, npad)[lags]
+    return kern
+
+
 def r6_scalar_loop(sym, u, law, band):
     """Sextic remainder by a plain loop over every zero-sum six-tuple of the
     support band (the reference for the vectorised enumeration of

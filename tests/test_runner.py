@@ -238,6 +238,26 @@ def test_scenario_envelope_runs(tmp_path):
                        "passed": True}
 
 
+def test_apriori_manifest_records_per_sample_norms(tmp_path):
+    """Criterion 10's manifest holds ||u0||_{H^s}, E and F next to the
+    ratios and constants, one entry per sample, as computed; apriori_run
+    returns the same ratios and constants."""
+    cfg = rn.load_config(write_cfg(
+        tmp_path, "[run]\nscenario = apriori\nseed = 110\n"
+        f"output_dir = {tmp_path}/out\n[apriori]\ncount = 2\n"
+        "t_final = 0.25\ngrid_size = 64\n"))
+    status, result = rn.run_scenario(cfg)
+    assert status == rn.EXIT_OK
+    man = json.loads(open(str(tmp_path / "out" / "apriori.json")).read())
+    meas = man["measurements"]
+    assert set(meas) == {"sobolev_ratios", "energy_constants", "hs0",
+                         "e_norms", "f_norms"}
+    assert all(len(v) == 2 for v in meas.values())
+    assert meas == result.measurements
+    assert rn.apriori_run(110, m=64, t_final=0.25, count=2) == (
+        meas["sobolev_ratios"], meas["energy_constants"])
+
+
 def test_scenario_rerun_byte_identical(tmp_path):
     text = (
         "[run]\nscenario = symmetrization\nseed = 9\n"

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from toruslab import evolution as ev
 from toruslab import spacetime as st
 from toruslab import spectral as sp
 
-from oracles import eta_j
+from oracles import eta_j, lag_kernels_direct
 
 LAW = ev.BENJAMIN_ONO
 
@@ -152,6 +153,68 @@ def test_norms_match_oracle_on_zero_windows_and_explicit_centers():
     for field in (f, half):
         assert_matches_oracle(field, k, 0.5, 16, centers=centers)
         assert_matches_oracle(field, k, 0.25, 32)
+
+
+def apriori_grid_field(columns):
+    """Field on criterion 10's geometry (M = 256 on [-1, 1] at dt = 1/1536,
+    blocks 0 to 7), one in the first `columns` lattice columns of each block
+    and zero elsewhere."""
+    g = sp.TorusGeometry(1.0, 256)
+    mv = np.sort(g.mvals)
+    t = np.arange(-1536, 1537) / 1536.0
+    vals = np.zeros((t.size, mv.size), dtype=complex)
+    for k in range(sp.max_block(g) + 1):
+        vals[:, np.flatnonzero(sp.block_indicator(mv / g.lam, k))[:columns]] = 1.0
+    return st.SpaceTimeField(g, mv, t, vals, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("tau_bins", [16, 32])
+def test_folded_lag_kernels_match_direct_builds(tau_bins, monkeypatch):
+    """The F assembly's lag kernels, transformed once at the largest npad and
+    folded onto every block's tau grid, agree with a direct build on each
+    grid to 1e-15 of the direct kernel's l1 norm over its lags, for every
+    block, form and annulus (measured 8.5e-17), and equal it bitwise at the
+    largest npad."""
+    fold, built = st._lag_kernels, []
+
+    def record(targets, dt, resolvent_k=None):
+        out = fold(targets, dt, resolvent_k)
+        built.append((targets, dt, [kern.copy() for kern, _ in out]))
+        return out
+
+    monkeypatch.setattr(st, "_lag_kernels", record)
+    st.assembled_norm([apriori_grid_field(0)], 0.25, "F", 1.0, law=LAW,
+                      tau_bins=tau_bins)
+    ((targets, dt, kerns),) = built
+    assert [npad for npad, _ in targets] == [2 ** (19 - k) * tau_bins // 32
+                                             for k in range(8)]
+    for (npad, lags), kern in zip(targets, kerns):
+        direct = lag_kernels_direct(npad, lags, dt, kern.shape[2])
+        l1 = np.sum(np.abs(direct), axis=1)[:, None, :]
+        assert np.all(np.abs(kern - direct) <= 1e-15 * l1)
+    assert np.array_equal(kerns[0], lag_kernels_direct(*targets[0], dt, 14))
+
+
+def test_f_assembly_transforms_each_weight_row_once(monkeypatch):
+    """On criterion 10's geometry one F assembly makes one inverse transform
+    per nonzero (annulus, form), all at the largest npad: 1 + 4 x 12 = 49,
+    as eta_13 lies beyond the Nyquist frequency 1536 pi (a build per block
+    made 371 on criterion 10's fields).  N still builds per block, at that
+    block's npad, since its resolvent weight depends on k; block 7's grid,
+    2^11 points, also has no bin in eta_1."""
+    irfft, calls = np.fft.irfft, []
+
+    def counted(a, n=None, *args, **kwargs):
+        calls.append(n)
+        return irfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    field = apriori_grid_field(1)
+    st.assembled_norm([field], 0.25, "F", 1.0, law=LAW, tau_bins=16)
+    assert calls == [2**18] * 49
+    calls.clear()
+    st.assembled_norm([field], 0.25, "N", 1.0, law=LAW, tau_bins=16)
+    assert Counter(calls) == {2 ** (18 - k): 49 - 4 * (k == 7) for k in range(8)}
 
 
 def test_partition_of_unity():
