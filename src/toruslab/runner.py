@@ -338,12 +338,12 @@ def cancellation(seed=104, grid_size=32, s=0.3):
 
 def multiplier_bounds(seed=105, tuples_per_pattern=10000):
     """Criterion 5: size bound of the quartic correction multiplier, and
-    agreement of its quotient and extension branches off resonance and at
-    the switching band."""
+    agreement of its quotient and extension branches off resonance (also
+    on the size scale sym(mu)/mu) and at the switching band."""
     rng = np.random.default_rng(seed)
     sym = en.DyadicSymbol.from_exponent(0.3)
     n = tuples_per_pattern
-    worst_c = worst_agree = worst_band = 0.0
+    worst_c = worst_agree = worst_scaled = worst_band = 0.0
     patterns = [(1, 1, 5), (1, 3, 5), (2, 4, 6), (3, 3, 3), (1, 5, 5),
                 (0, 2, 7), (4, 5, 6), (2, 2, 8)]
     for law in (ev.BENJAMIN_ONO, ev.SCHROEDINGER):
@@ -366,13 +366,16 @@ def multiplier_bounds(seed=105, tuples_per_pattern=10000):
             band = (np.abs(om) > en.RESONANCE_THETA * mu2) & ~off
             if np.any(off):
                 worst_agree = max(worst_agree, float(np.max(rel[off])))
+                scaled = np.abs(quot - ext)[off] * mu[off] / sym(mu[off])
+                worst_scaled = max(worst_scaled, float(np.max(scaled)))
             if np.any(band):
                 worst_band = max(worst_band, float(np.max(rel[band])))
     return ScenarioResult(
         {"size_constant": worst_c, "branch_agreement": worst_agree,
-         "switching_band": worst_band},
+         "branch_agreement_scaled": worst_scaled, "switching_band": worst_band},
         [("size_constant", worst_c, 20.0),
          ("branch_agreement", worst_agree, 1e-10),
+         ("branch_agreement_scaled", worst_scaled, 1e-12),
          ("switching_band", worst_band, 1e-8)],
     )
 

@@ -27,7 +27,10 @@ L = min(next_pow2(2n + 8), npad): 256 against npad = 4096 at k = 6.  A block
 weighs all its windows and fields on the npad of its longest window (with
 tau_bins >= 3 and dt <= 2^-k the bin floor 2 pi tau_bins / (2^k dt) exceeds
 four window lengths, so every window would pick that npad anyway), and
-reduces the windows in (windows, L, modes) batches of at most CHUNK_BYTES.
+reduces the windows in batches of segments and lag sums within CHUNK_BYTES.
+Under an odd law a real field's demodulated column at -m is the conjugate of
+the one at m, its power the m one's reversed in tau; the weights are even, so
+the pair's masses agree: m > 0 columns weigh twice, m < 0 not at all.
 Each npad is a power of two on one dt, so an F assembly transforms each
 weight row once, at its largest npad, and folds the result onto every
 block's grid; the resolvent weight of N depends on k, so N builds per block.
@@ -47,7 +50,7 @@ from .evolution import free_rows
 from .spectral import block_indicator, max_block
 
 TAU_BINS_PER_WINDOW_SCALE = 32  # delta-tau = 2^k / this
-CHUNK_BYTES = 4 << 20  # bound on one (windows, L, modes) complex batch
+CHUNK_BYTES = 4 << 20  # bound on one batch of segments or of lag sums
 DIFFERENCE_FORMS = 4  # lag sums of the 0th to 3rd differences of a segment
 
 
@@ -165,18 +168,33 @@ def _lag_kernels(targets, dt, resolvent_k=None):
     return [(kern, np.sum(np.abs(kern), axis=1)) for kern in kerns]
 
 
+def _mode_weights(field, cols, law):
+    """Columns to transform and their power weights: the m >= 0 half of the
+    active `cols`, m > 0 twice, if the law is odd and every active column's
+    mirror -m is active and holds exactly its conjugate; else all, once."""
+    m, v = field.mvals, field.values
+    pos = np.flatnonzero(cols)  # mirrors pos[::-1] on a symmetric lattice
+    if (law.odd and np.array_equal(m[pos], -m[pos[::-1]])
+            and all(np.array_equal(v[:, b], np.conj(v[:, a]))
+                    for a, b in zip(pos, pos[::-1]) if m[a] >= 0)):
+        half = cols & (m >= 0)
+        return half, np.where(m[half] > 0, 2.0, 1.0)
+    return cols, np.ones(pos.size)
+
+
 def _modulation_sup(fields, rows, k, b, law, resolvent, tau_bins, kernels=None):
     """Largest block norm of each field over the windowed segments
     w * nu[lo:lo + w.size], (lo, w) in rows, of its demodulated active
-    columns nu; the fields share one time grid and the lag kernels (this
-    block's `_lag_kernels` entry, built here unless given)."""
+    columns nu (`_mode_weights`); the fields share one time grid and the lag
+    kernels (this block's `_lag_kernels` entry, built here unless given)."""
     f0, dt = fields[0], fields[0].dt
-    cols = [f.active_columns() for f in fields]
-    if any(np.any(c & ~block_indicator(f0.xi, k)) for c in cols):
+    picks = [_mode_weights(f, f.active_columns(), law) for f in fields]
+    if any(np.any(c & ~block_indicator(f0.xi, k)) for c, _ in picks):
         raise SupportError(f"field has active frequencies outside block {k}")
-    demod = np.exp(-1j * np.outer(f0.tgrid, law.omega(f0.xi)))
-    nus = {i: f.values[:, c] * demod[:, c]
-           for i, (f, c) in enumerate(zip(fields, cols)) if np.any(c)}
+    need = np.logical_or.reduce([c for c, _ in picks])
+    demod = np.exp(-1j * np.outer(f0.tgrid, law.omega(f0.xi[need])))
+    nus = {i: (f.values[:, c] * demod[:, c[need]], weight)
+           for i, (f, (c, weight)) in enumerate(zip(fields, picks)) if np.any(c)}
     best = [0.0] * len(fields)
     if not nus or not rows:
         return best
@@ -189,15 +207,16 @@ def _modulation_sup(fields, rows, k, b, law, resolvent, tau_bins, kernels=None):
     kern *= 2.0 * np.pi * dt / f0.geometry.lam
     diff = 4.0 * np.sin(np.pi * np.arange(nlag) / nlag) ** 2
     tilt = diff ** np.arange(DIFFERENCE_FORMS)[:, None]
-    for i, nu in nus.items():
-        per = max(1, CHUNK_BYTES // (16 * nlag * nu.shape[1]))
+    for i, (nu, weight) in nus.items():
+        per = max(1, CHUNK_BYTES // (
+            16 * nlag * max(nu.shape[1], DIFFERENCE_FORMS)))
         for first in range(0, len(rows), per):
             chunk = rows[first:first + per]
             seg = np.zeros((len(chunk), nlag, nu.shape[1]), dtype=complex)
             for n, (lo, w) in enumerate(chunk):
                 seg[n, :w.size] = nu[lo:lo + w.size] * w[:, None]
             np.fft.fft(seg, axis=1, out=seg)
-            power = np.sum(seg.real**2 + seg.imag**2, axis=2)
+            power = (seg.real**2 + seg.imag**2) @ weight
             acf = np.zeros((DIFFERENCE_FORMS, len(chunk), nlag), dtype=complex)
             np.multiply(power, tilt[:, None, :], out=acf.real)
             acf = np.fft.ifft(acf, axis=-1, out=acf).real
@@ -230,20 +249,24 @@ def window_centers(support, k):
 
 
 def _window_spans(t, support, k, centers=None):
-    """(first row, end row, center) of each window with two or more rows."""
-    if centers is None:
-        centers = window_centers(support, k)
+    """(first rows, end rows, centers) of the windows with two or more rows."""
+    centers = np.asarray(window_centers(support, k) if centers is None
+                         else centers)
     halfwidth = bumps.OUTER * 2.0**-k
-    lo = np.searchsorted(t, np.asarray(centers) - halfwidth)
-    hi = np.searchsorted(t, np.asarray(centers) + halfwidth, side="right")
-    return [(a, b, c) for a, b, c in zip(lo, hi, centers) if b - a >= 2]
+    lo = np.searchsorted(t, centers - halfwidth)
+    hi = np.searchsorted(t, centers + halfwidth, side="right")
+    keep = hi - lo >= 2
+    return lo[keep], hi[keep], centers[keep]
 
 
 def _window_rows(field, k, centers=None):
-    """(first row, weights eta0(2^k (t - c))) of each window span."""
-    t = field.tgrid
-    return [(lo, bumps.eta0(2.0**k * (t[lo:hi] - c)))
-            for lo, hi, c in _window_spans(t, field.support, k, centers)]
+    """(first row, weights eta0(2^k (t - c))) of each window span, from one
+    eta0 call on the spans' rows masked out of a (windows, longest) array."""
+    lo, hi, c = _window_spans(field.tgrid, field.support, k, centers)
+    inside = np.arange(np.max(hi - lo, initial=0)) < (hi - lo)[:, None]
+    rows = (lo[:, None] + np.arange(inside.shape[1]))[inside]
+    w = bumps.eta0(2.0**k * (field.tgrid[rows] - np.repeat(c, hi - lo)))
+    return list(zip(lo.tolist(), np.split(w, np.cumsum(hi - lo)[:-1])))
 
 
 def fk_norm(field, k, law, b=0.5, centers=None,
@@ -302,11 +325,10 @@ def assembled_norm(fields, s, kind, t_lim, law=None,
     widths = {k: max(2.0 ** (-k - 10), 4.0 * dt) for k in blocks}
     targets, kernels = {}, {}
     for k in blocks if kind == "F" else ():
-        spans = _window_spans(first.tgrid, _cut_support(
+        lo, hi, _ = _window_spans(first.tgrid, _cut_support(
             first.support, t_lim, widths[k]), k)
-        if spans:
-            longest = max(hi - lo for lo, hi, _ in spans)
-            targets[k] = _kernel_target(longest, k, dt, tau_bins)
+        if lo.size:
+            targets[k] = _kernel_target(np.max(hi - lo), k, dt, tau_bins)
     if targets:
         kernels = dict(zip(targets, _lag_kernels(list(targets.values()), dt)))
     totals = [0.0] * len(fields)

@@ -22,6 +22,7 @@ BOUNDS = {
     "cancellation": {"order_e0_r4": 1.0, "order_corrected_r6": 1.0,
                      "r6_enumerated": 1e-10},
     "multiplier_bounds": {"size_constant": 20.0, "branch_agreement": 1e-10,
+                          "branch_agreement_scaled": 1e-12,
                           "switching_band": 1e-8},
     "boundary_bound": {"spread": 1.5, "amplitude_deviation": 1e-12},
     "envelope": {"domination": 1e-12, "log_lipschitz": 1e-12,

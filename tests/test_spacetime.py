@@ -22,11 +22,11 @@ def snapshot_l2(field, i):
 
 
 def block_field(k, seed=0, lam=1.0, envelope_scale=None, tspan=None, law=LAW,
-                dt_frac=32):
+                dt_frac=32, real=False):
     """Windowed free solution on block k with a smooth bump envelope."""
     rng = np.random.default_rng(seed)
     g = sp.TorusGeometry(lam, bumps.next_pow2(int(8 * 2 ** (k + 1) * lam)))
-    phi = sp.random_field(g, rng, block=k)
+    phi = sp.random_field(g, rng, block=k, real=real)
     nz = np.abs(phi.coeffs) > 0
     mv = np.sort(g.mvals[nz])
     order = np.argsort(g.mvals[nz])
@@ -102,14 +102,14 @@ def oracle_norm(field, k, b, law, resolvent, centers=None,
     return best
 
 
-def assert_matches_oracle(f, k, b, tau_bins, centers=None):
+def assert_matches_oracle(f, k, b, tau_bins, centers=None, law=LAW):
     cases = (
-        (st.fk_norm(f, k, law=LAW, b=b, centers=centers, tau_bins=tau_bins),
-         oracle_norm(f, k, b, LAW, False, centers, tau_bins)),
-        (st.nk_norm(f, k, law=LAW, b=b, centers=centers, tau_bins=tau_bins),
-         oracle_norm(f, k, b, LAW, True, centers, tau_bins)),
-        (st.xk_norm(f, k, b=b, law=LAW, tau_bins=tau_bins),
-         oracle_norm(f, k, b, LAW, False, tau_bins=tau_bins, windowed=False)),
+        (st.fk_norm(f, k, law=law, b=b, centers=centers, tau_bins=tau_bins),
+         oracle_norm(f, k, b, law, False, centers, tau_bins)),
+        (st.nk_norm(f, k, law=law, b=b, centers=centers, tau_bins=tau_bins),
+         oracle_norm(f, k, b, law, True, centers, tau_bins)),
+        (st.xk_norm(f, k, b=b, law=law, tau_bins=tau_bins),
+         oracle_norm(f, k, b, law, False, tau_bins=tau_bins, windowed=False)),
     )
     for fast, ref in cases:
         assert ref > 0.0
@@ -153,6 +153,97 @@ def test_norms_match_oracle_on_zero_windows_and_explicit_centers():
     for field in (f, half):
         assert_matches_oracle(field, k, 0.5, 16, centers=centers)
         assert_matches_oracle(field, k, 0.25, 32)
+
+
+def transformed_modes(monkeypatch):
+    """Mode-axis lengths of the segment batches `_modulation_sup` transforms,
+    appended as they are made."""
+    fft, modes = np.fft.fft, []
+
+    def recorded(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            modes.append(a.shape[2])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recorded)
+    return modes
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_real_field_norms_match_per_window_oracle(k, monkeypatch):
+    """A real field under the odd law weighs each conjugate mode pair once
+    (the m >= 0 half, m > 0 twice); fk, nk and xk still agree with the
+    oracle, which transforms every column, to 1e-12 relative."""
+    f, _ = block_field(k, seed=80 + k, real=True)
+    modes = transformed_modes(monkeypatch)
+    assert_matches_oracle(f, k, 0.5, (8, 16, 32)[k % 3])
+    assert set(modes) == {np.sum(f.active_columns() & (f.mvals >= 0))}
+
+
+def test_pair_fold_taken_only_on_exact_conjugate_pairs(monkeypatch):
+    """The segment transforms hold the m >= 0 active columns of a real field
+    under the odd law, and every active column under the Schroedinger law,
+    for complex data, and when one column is one ulp off its mirror's
+    conjugate; each case matches the oracle."""
+    k = 4
+    f, _ = block_field(k, seed=90, real=True)
+    g, _ = block_field(k, seed=91)
+    active = f.active_columns()
+    half = int(np.sum(active & (f.mvals >= 0)))
+    assert 2 * half == np.sum(active) > 0
+    nudged = f.values.copy()
+    col = np.flatnonzero(active & (f.mvals > 0))[0]
+    row = np.argmax(np.abs(nudged[:, col]))
+    nudged[row, col] = complex(np.nextafter(nudged[row, col].real, np.inf),
+                               nudged[row, col].imag)
+    cases = [(f, LAW, half), (f, ev.SCHROEDINGER, 2 * half),
+             (g, LAW, int(np.sum(g.active_columns()))),
+             (replace(f, values=nudged), LAW, 2 * half)]
+    for field, law, width in cases:
+        modes = transformed_modes(monkeypatch)
+        assert_matches_oracle(field, k, 0.5, 16, law=law)
+        monkeypatch.undo()
+        # fk and nk, windowed; xk, one segment; the oracle makes 2-D FFTs
+        assert set(modes) == {width} and len(modes) >= 3
+
+
+def test_apriori_norms_match_unfolded_evaluation(monkeypatch):
+    """Criterion 10's F and N norms (seed 110, two samples) with the pair
+    fold agree with the evaluation that weighs every column to 1e-13
+    relative."""
+    from toruslab import runner as rn
+
+    trajs = rn._apriori_trajectories(110, 0.05, 256, 1.0, 2)
+    fields = [st.from_trajectory(traj) for traj in trajs]
+
+    def norms():
+        return [st.assembled_norm(fields, 0.25, kind, 1.0, law=LAW,
+                                  tau_bins=16) for kind in ("F", "N")]
+
+    modes = transformed_modes(monkeypatch)
+    folded = norms()
+    half = sum(modes)
+    monkeypatch.setattr(st, "_mode_weights",
+                        lambda field, cols, law: (cols, np.ones(np.sum(cols))))
+    for fold, full in zip(folded, norms()):
+        assert all(abs(a - b) <= 1e-13 * b for a, b in zip(fold, full))
+    assert 0 < half < sum(modes) - half  # the fold was taken
+
+
+def test_segment_and_lag_batches_stay_within_chunk_bound(monkeypatch):
+    """On criterion 10's geometry both batches of every F block, the
+    (windows, L, modes) segments and the (forms, windows, L) lag sums, stay
+    within CHUNK_BYTES (block 0 holds 10 windows of 8192 lags)."""
+    sizes = []
+    for name in ("fft", "ifft"):
+        def recorded(a, *args, _f=getattr(np.fft, name), **kwargs):
+            if np.ndim(a) == 3:
+                sizes.append(a.nbytes)
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, recorded)
+    st.assembled_norm([apriori_grid_field(1)], 0.25, "F", 1.0, law=LAW,
+                      tau_bins=16)
+    assert sizes and max(sizes) <= st.CHUNK_BYTES
 
 
 def apriori_grid_field(columns):
