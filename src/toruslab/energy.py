@@ -263,28 +263,21 @@ def _ratio_extension_odd(sym, law, z1, z2, z3, z4):
 
 def _ratio_extension_schroedinger(sym, z1, z2, z3, z4):
     """Q/Omega for the slot-signed quadratic law: Omega = -2 s12 s23 with
-    s12 = z1 + z2, s23 = z2 + z3; divide by the larger factor."""
+    s12 = z1 + z2, s23 = z2 + z3; divide by the larger factor, with
+    Q = s12 [q(z1,z2) - q(z3,z4)] = s23 [q(z2,z3) - q(z1,z4)]."""
     s12 = z1 + z2
     s23 = z2 + z3
     scale = np.maximum.reduce([np.abs(z1), np.abs(z2), np.abs(z3), np.abs(z4)])
     scale = np.maximum(scale, 1.0)
+    by12 = np.abs(s23) < np.abs(s12)
+    den = np.where(by12, s12, s23)
+    a, b, c = (np.where(by12, x, y) for x, y in ((z2, z1), (z3, z2), (z1, z3)))
     out = np.empty_like(s12)
-    use23 = np.abs(s23) >= np.abs(s12)
-    # Q = s12 [q(z1,z2) - q(z3,z4)]  ->  Q/Omega = -(qA - qB) / (2 s23)
-    m = use23 & (np.abs(s23) > DEN_CONFLUENT * scale)
-    if np.any(m):
-        out[m] = -(
-            q_smooth(sym, z1[m], z2[m]) - q_smooth(sym, z3[m], z4[m])
-        ) / (2.0 * s23[m])
-    # Q = s23 [q(z2,z3) - q(z1,z4)]  ->  Q/Omega = -(qA - qB) / (2 s12)
-    m2 = (~use23) & (np.abs(s12) > DEN_CONFLUENT * scale)
-    if np.any(m2):
-        out[m2] = -(
-            q_smooth(sym, z2[m2], z3[m2]) - q_smooth(sym, z1[m2], z4[m2])
-        ) / (2.0 * s12[m2])
-    deep = (np.abs(s12) <= DEN_CONFLUENT * scale) & (
-        np.abs(s23) <= DEN_CONFLUENT * scale
-    )
+    ok = np.abs(den) > DEN_CONFLUENT * scale
+    if np.any(ok):
+        out[ok] = -(q_smooth(sym, a[ok], b[ok]) - q_smooth(sym, c[ok], z4[ok])
+                    ) / (2.0 * den[ok])
+    deep = ~ok
     if np.any(deep):
         mu = 0.25 * (np.abs(z1) + np.abs(z2) + np.abs(z3) + np.abs(z4))
         out[deep] = 0.5 * sym.g_double_prime(mu[deep])
@@ -311,6 +304,11 @@ def _extension(sym, law, xi):
     return _ratio_extension_schroedinger(sym, *xi)
 
 
+def _q_sum(sym, xi):
+    """Q = g(xi1) + g(xi2) + g(xi3) + g(xi4), summed left to right."""
+    return sym.g(xi[0]) + sym.g(xi[1]) + sym.g(xi[2]) + sym.g(xi[3])
+
+
 def _b4_prefactor(law):
     """The law's normalization of b4 = prefactor * Q / Omega."""
     return TWO_PI_SQ_INV / 6.0 if law.odd else -TWO_PI_SQ_INV / 2.0
@@ -324,23 +322,16 @@ def b4_multiplier(sym, xi, law):
     elsewhere the smooth extension through the divided-difference
     decompositions; both branches agree to rounding in the overlap.
     """
-    xi1, xi2, xi3, xi4 = (np.asarray(x, dtype=float) for x in xi)
-    shape = np.broadcast_shapes(xi1.shape, xi2.shape, xi3.shape, xi4.shape)
-    xi1, xi2, xi3, xi4 = np.broadcast_arrays(xi1, xi2, xi3, xi4)
+    xi1, xi2, xi3, xi4 = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in xi))
     mu = np.maximum.reduce([np.abs(xi1), np.abs(xi2), np.abs(xi3), np.abs(xi4)])
     if np.any(np.abs(xi1 + xi2 + xi3 + xi4) > 1e-9 * np.maximum(mu, 1.0)):
         raise ValueError("tuple is not on the zero-sum set")
     omega = resonance_function(law, xi1, xi2, xi3, xi4)
     quot = np.abs(omega) > RESONANCE_THETA * np.maximum(mu, 1.0) ** 2
-    ratio = np.empty(shape, dtype=float)
+    ratio = np.empty(xi1.shape, dtype=float)
     if np.any(quot):
-        qq = (
-            sym.g(xi1[quot])
-            + sym.g(xi2[quot])
-            + sym.g(xi3[quot])
-            + sym.g(xi4[quot])
-        )
-        ratio[quot] = qq / omega[quot]
+        ratio[quot] = _q_sum(sym, (xi1, xi2, xi3, xi4))[quot] / omega[quot]
     near = ~quot
     if np.any(near):
         ratio[near] = _extension(sym, law,
@@ -355,7 +346,7 @@ def b4_branch_values(sym, xi, law):
     the quotient entry is nan on the exact resonance set."""
     xi1, xi2, xi3, xi4 = (np.asarray(x, dtype=float) for x in xi)
     omega = resonance_function(law, xi1, xi2, xi3, xi4)
-    qq = sym.g(xi1) + sym.g(xi2) + sym.g(xi3) + sym.g(xi4)
+    qq = _q_sum(sym, (xi1, xi2, xi3, xi4))
     with np.errstate(divide="ignore", invalid="ignore"):
         quot = np.where(omega != 0.0, qq / omega, np.nan)
     pref = _b4_prefactor(law)
@@ -441,9 +432,8 @@ def _orbit_chunks(band, odd):
     tuples m1 <= m2 <= m3 <= m4 for the real flow and the tuples with
     m1 <= m3, m2 <= m4 for the complex flow; each pair (m1, m2) leaves one
     run lo <= m3 <= hi of them."""
-    m1, m2 = (a.ravel() for a in np.meshgrid(np.arange(-band, band + 1),
-                                             np.arange(-band, band + 1),
-                                             indexing="ij"))
+    m2 = np.arange(-band, band + 1)
+    m1 = m2[:, None]      # pairs broadcast over the (m1, m2) grid
     if odd:
         lo = np.maximum(m2, -(m1 + m2) - band)         # m3 >= m2, m4 <= band
         hi = np.where(m1 <= m2, -(m1 + m2) // 2, lo - 1)   # m4 >= m3
@@ -452,8 +442,10 @@ def _orbit_chunks(band, odd):
         hi = np.minimum(np.minimum(band, -m1 - 2 * m2),    # m4 >= m2
                         band - m1 - m2)                    # m4 >= -band
     keep = hi >= lo
-    m1, m2, lo = m1[keep], m2[keep], lo[keep]
+    lo = lo[keep]
     runs = hi[keep] - lo + 1
+    m1, m2 = (k - band for k in np.nonzero(keep))
+    del hi, keep  # no full grid is held while the chunks are consumed
     ends = np.cumsum(runs)
     start = 0
     while start < ends.size:
@@ -462,19 +454,25 @@ def _orbit_chunks(band, odd):
                    start + 1)
         n = runs[start:stop]
         first = ends[start:stop] - n - base   # offset of each run in the chunk
-        r1, r2 = np.repeat(m1[start:stop], n), np.repeat(m2[start:stop], n)
-        r3 = np.repeat(lo[start:stop] - first, n) + np.arange(n.sum())
-        r4 = -(r1 + r2 + r3)
-        if odd:
-            # the sorted tuple's stabilizer is the product of its runs'
-            # factorials: each entry contributes its position within its run
-            run2 = 1 + (r1 == r2)
-            run3 = 1 + (r2 == r3) * run2
-            stab = run2 * run3 * (1 + (r3 == r4) * run3)
-        else:
-            stab = (1 + (r1 == r3)) * (1 + (r2 == r4))
-        yield np.stack([r1, r2, r3, r4, stab])
+        yield _orbit_rows(m1[start:stop], m2[start:stop],
+                          lo[start:stop] - first, n, odd)
         start = stop
+
+
+def _orbit_rows(m1, m2, m3, n, odd):
+    """One chunk of ``_orbit_chunks``; its temporaries die on return."""
+    r1, r2 = np.repeat(m1, n), np.repeat(m2, n)
+    r3 = np.repeat(m3, n) + np.arange(n.sum())
+    r4 = -(r1 + r2 + r3)
+    if odd:
+        # the sorted tuple's stabilizer is the product of its runs'
+        # factorials: each entry contributes its position within its run
+        run2 = 1 + (r1 == r2)
+        run3 = 1 + (r2 == r3) * run2
+        stab = run2 * run3 * (1 + (r3 == r4) * run3)
+    else:
+        stab = (1 + (r1 == r3)) * (1 + (r2 == r4))
+    return np.stack([r1, r2, r3, r4, stab])
 
 
 def _gamma4_sums(kind, sym, law, band, lam, batch):
@@ -512,7 +510,7 @@ def _gamma4_sums(kind, sym, law, band, lam, batch):
         if kind == "b4":
             mult = b4_multiplier(sym, xi, law)
         else:
-            mult = sym.g(xi[0]) + sym.g(xi[1]) + sym.g(xi[2]) + sym.g(xi[3])
+            mult = _q_sum(sym, xi)
         mult = mult / rows[4]
         for i, terms in enumerate(products):
             c = sum(w * s[0][idx[0]] * s[1][idx[1]] * s[2][idx[2]]
@@ -521,40 +519,39 @@ def _gamma4_sums(kind, sym, law, band, lam, batch):
     return [GridSimplex(4, band, lam).weight * total for total in totals]
 
 
-def _quartic_terms(u, law, band):
-    """(band, terms) of the quartic slot product of u over |m| <= band
-    (default: the support band): uhat in every slot for the real flow, uhat
-    and conj(uhat(-xi)) alternating for the complex flow."""
+def _quartic_terms(u, law):
+    """(band, terms) of the quartic slot product of u over its support band:
+    uhat in every slot for the real flow, uhat and conj(uhat(-xi))
+    alternating for the complex flow."""
     _check_energy_data(u, law)
-    if band is None:
-        band = max(_support_band(u), 1)
+    band = max(_support_band(u), 1)
     tab = _coeff_lookup(u, band)
     bar = tab if law.odd else np.conj(tab[::-1])
     return band, [(1.0, [tab, bar, tab, bar])]
 
 
-def e1_corrections(sym, fields, law, band=None):
+def e1_corrections(sym, fields, law):
     """``e1_correction`` of every field of one scale lam, from one b4 pass
     (one evaluation per slot-group orbit of Gamma4, see ``_gamma4_sums``)
-    over the widest of their bands.  Fields sharing a band get the values of
-    single calls exactly; a field summed over a wider band than its own
-    agrees to rounding."""
+    over the widest of their support bands.  Fields sharing a band get the
+    values of single calls exactly; a field summed over a wider band than
+    its own agrees to rounding."""
     lams = {u.lam for u in fields}
     if len(lams) != 1:
         raise ValueError(f"a batch needs fields on one scale, got lam {lams}")
-    bands, batch = zip(*(_quartic_terms(u, law, band) for u in fields))
+    bands, batch = zip(*(_quartic_terms(u, law) for u in fields))
     sums = _gamma4_sums("b4", sym, law, max(bands), lams.pop(), batch)
     return [float(total.real) for total in sums]
 
 
-def e1_correction(sym, u, law, band=None):
+def e1_correction(sym, u, law):
     """Quartic correction energy with the +1-normalized multiplier; the
     corrected quantity along the sign-sigma flow is E0 + sigma * E1.  b4 is
     evaluated once per orbit of the law's slot group on Gamma4 (about 1/23
     of the tuples for the real flow and 1/4 for the complex flow), one chunk
     of orbit representatives at a time, and never held for the whole
     band."""
-    return e1_corrections(sym, [u], law, band)[0]
+    return e1_corrections(sym, [u], law)[0]
 
 
 def _r4_value(total, law, sigma):
@@ -564,7 +561,7 @@ def _r4_value(total, law, sigma):
 
 def r4_form(sym, u, law, sigma):
     """Symmetrized quartic form: the exact value of d/dt E0 along the flow."""
-    band, terms = _quartic_terms(u, law, None)
+    band, terms = _quartic_terms(u, law)
     return _r4_value(_gamma4_sums("q", sym, law, band, u.lam, [terms])[0],
                      law, sigma)
 
@@ -712,7 +709,7 @@ def cancellation_check(traj, sym, band=None):
     lam = fields[0].lam
     if band is None:
         band = dealias_band(fields[0].geometry)
-    quartic = [_quartic_terms(u, law, None)[1] for u in fields]
+    quartic = [_quartic_terms(u, law)[1] for u in fields]
     sextic = [_r6_terms(u, law, band) for u in fields]
     lattice = max(w_band for w_band, _ in sextic)
     b4 = _gamma4_sums("b4", sym, law, lattice, lam,

@@ -3,7 +3,8 @@ estimates, with exponent fitting over dyadic sweeps.
 
 Every measurement returns an EstimateReport holding per-configuration max and
 mean left/right ratios, the least-squares slope of log2(max ratio) against
-the sweep coordinate, and a verdict comparing the slope to its prediction.
+the sweep coordinate, and the fit's two checks (EstimateReport.checks): the
+slope against its prediction and the fit residual against its cap.
 Reports are pure functions of (seed, configuration): samples are drawn from
 per-index generators, so enlarging an ensemble extends it.  Each member
 evaluation returns an (lhs, rhs) pair, and _ensemble_ratios alone divides:
@@ -48,7 +49,7 @@ unmodulated constants when it is built and a modulated one when asked, and
 no state is shared between configurations.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,6 +89,12 @@ class RatioPoint:
 
 @dataclass(frozen=True)
 class EstimateReport:
+    """One fitted sweep.  Its checks ``(name, value, bound)``, each passing
+    iff value is finite and at most bound, are the slope check and the
+    residual check: the slope value is |slope - predicted_slope|, or
+    slope - predicted_slope for a one-sided fit, which fails only on growth
+    past the window."""
+
     estimate_id: str
     points: tuple
     predicted_slope: float
@@ -97,13 +104,13 @@ class EstimateReport:
     intercept: float
     residual: float
     skipped: int = 0
+    one_sided: bool = False
 
-    @property
-    def verdict(self):
-        return bool(
-            abs(self.slope - self.predicted_slope) <= self.slope_tol
-            and self.residual <= self.residual_cap
-        )
+    def checks(self, name):
+        gap = self.slope - self.predicted_slope
+        return [(f"{name}_slope", gap if self.one_sided else abs(gap),
+                 self.slope_tol),
+                (f"{name}_residual", self.residual, self.residual_cap)]
 
 
 def make_report(estimate_id, points, predicted_slope, slope_tol, skipped=0):
@@ -188,16 +195,17 @@ def _product_rows(amodes, arows, bmodes, brows):
     on sorted modes, one row per time, on the modes amodes[0] + bmodes[0]
     through amodes[-1] + bmodes[-1]: a sum of shifted copies of the rows of
     the first factor, which has more modes, one per mode of the other.  Each
-    run of consecutive modes of the first factor is shifted as one slice."""
+    run of consecutive modes of the first factor is shifted as one slice,
+    formed in a buffer one run wide."""
     out = np.zeros((arows.shape[0], amodes[-1] - amodes[0] + bmodes[-1]
                     - bmodes[0] + 1), dtype=complex)
-    cuts = np.flatnonzero(np.diff(amodes) > 1) + 1
-    term = np.empty_like(arows)
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, amodes.size]):
+    edges = np.r_[0, np.flatnonzero(np.diff(amodes) > 1) + 1, amodes.size]
+    term = np.empty((arows.shape[0], np.diff(edges).max()), arows.dtype)
+    for lo, hi in zip(edges[:-1], edges[1:]):
         first = amodes[lo] - amodes[0] - bmodes[0]
         for m, col in zip(bmodes, brows.T):
-            np.multiply(arows[:, lo:hi], col[:, None], out=term[:, lo:hi])
-            out[:, first + m:first + m + hi - lo] += term[:, lo:hi]
+            np.multiply(arows[:, lo:hi], col[:, None], out=term[:, :hi - lo])
+            out[:, first + m:first + m + hi - lo] += term[:, :hi - lo]
     return out
 
 
@@ -370,7 +378,7 @@ def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
     N^(-1/2) ||u0|| and the predicted slope is 0 (two-sided).  With
     log_normalized=True the proof-side weight log2(N) N^(-1/2) is used; no
     tested data saturates that logarithm, so those ratios decay slowly and
-    only the no-growth direction is meaningful.
+    only the no-growth direction is meaningful: the report is one-sided.
 
     No space-time grid is formed: with trapezoid weights w_t and the phase
     table P[t, m] = exp(i t omega_m), H = P^T diag(w) conj(P) is built once
@@ -404,7 +412,8 @@ def smoothing_ratio(n_values, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
         return [pair(c, l2) for c, l2 in members]
 
     name = "smoothing_log" if log_normalized else "smoothing"
-    return _family_report(name, n_values, lam, pairs_at, slope_tol)
+    return replace(_family_report(name, n_values, lam, pairs_at, slope_tol),
+                   one_sided=log_normalized)
 
 
 def smoothing_grid_operator_norm(n):

@@ -120,18 +120,6 @@ class SpectralField:
             np.sqrt(np.sum(np.abs(self.coeffs) ** 2) / (2.0 * np.pi * self.lam))
         )
 
-    def __add__(self, other):
-        _check_same_geometry(self, other)
-        return SpectralField(
-            self.geometry, self.coeffs + other.coeffs, self.real and other.real
-        )
-
-    def __sub__(self, other):
-        _check_same_geometry(self, other)
-        return SpectralField(
-            self.geometry, self.coeffs - other.coeffs, self.real and other.real
-        )
-
     def __mul__(self, c):
         return SpectralField(
             self.geometry, self.coeffs * c, self.real and np.isreal(c)
@@ -145,11 +133,6 @@ def _negation_index(n):
     idx[0] = 0
     idx[1:] = np.arange(n - 1, 0, -1)
     return idx
-
-
-def _check_same_geometry(a, b):
-    if a.geometry != b.geometry:
-        raise ValueError("geometry mismatch")
 
 
 def block_indicator(xi, k):

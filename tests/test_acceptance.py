@@ -31,7 +31,7 @@ BOUNDS = {
         "bilinear_slope": 0.15, "bilinear_residual": 0.5,
         "maximal_slope": 0.15, "maximal_residual": 0.5,
         "smoothing_slope": 0.1, "smoothing_residual": 0.5,
-        "smoothing_log_slope": 0.1,
+        "smoothing_log_slope": 0.1, "smoothing_log_residual": 0.5,
         "l4_slope": 0.1, "l4_residual": 0.5,
         "gridop_ratio": 5.0, "gridop_monotone": 1e-12,
     },

@@ -462,8 +462,6 @@ def test_e1_corrections_batch_equals_single_fields(sym):
                                lam=lam) for seed in (40, 41, 42)]
             assert en.e1_corrections(sym, same, law) == [
                 en.e1_correction(sym, u, law) for u in same]
-            assert en.e1_corrections(sym, same, law, band=8) == [
-                en.e1_correction(sym, u, law, band=8) for u in same]
             mixed = same + [rand_field(m=32, band=9, real=real, amp=0.5,
                                        seed=43, lam=lam)]
             for u, e1 in zip(mixed, en.e1_corrections(sym, mixed, law)):

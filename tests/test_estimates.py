@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -209,11 +211,11 @@ def oracle_smoothing_norm(u0, law, times):
     return float(np.max(np.sqrt(total)))
 
 
-def oracle_maximal_norm(u0, law, times):
+def oracle_maximal_norm(u0, law, times, refine=1):
     """||u||_{L4_x Linf_t} of the free solution on the space-time grid of
-    block_nx(u0) points (the evaluation the streamed route of maximal_ratio
-    replaced), built in chunks of times."""
-    nx = block_nx(u0)
+    refine * block_nx(u0) points (at refine 1, the evaluation the streamed
+    route of maximal_ratio replaced), built in chunks of times."""
+    nx = refine * block_nx(u0)
     sup = 0.0
     for sl in time_chunks(times):
         vals = es.free_solution_grid(u0, law, times[sl], nx)
@@ -293,12 +295,23 @@ def test_fit_exponent():
 
 
 def test_report_verdict_pure():
+    """A report's checks are its slope gap and fit residual against its own
+    window and cap; a one-sided fit fails only on growth."""
     pts = [es.RatioPoint(float(n), 1.0, 2.0 ** (-0.5 * n), 2.0 ** (-0.5 * n))
            for n in (3, 4, 5)]
     rep = es.make_report("x", pts, -0.5, 0.15)
-    assert rep.verdict
+    (slope_name, gap, tol), (resid_name, resid, cap) = rep.checks("x")
+    assert (slope_name, resid_name, tol, cap) == ("x_slope", "x_residual",
+                                                  0.15, 0.5)
+    assert gap == abs(rep.slope + 0.5) and gap < 1e-12
+    assert resid == rep.residual and resid < 1e-12
     rep2 = es.make_report("x", pts, 0.0, 0.15)
-    assert not rep2.verdict
+    assert rep2.checks("y")[0] == ("y_slope", abs(rep2.slope), 0.15)
+    assert abs(rep2.slope) > 0.15
+    # the decaying slope -0.5 passes one-sidedly, and growth still fails
+    assert dataclasses.replace(rep2, one_sided=True).checks("y")[0][1] < 0.0
+    grow = dataclasses.replace(rep2, one_sided=True, predicted_slope=-0.8)
+    assert grow.checks("y")[0][1] > 0.15
 
 
 def test_ensemble_determinism_and_support():
@@ -406,6 +419,31 @@ def test_maximal_matches_grid_oracle(law, lam):
                   / (2.0 ** (n / 4.0) * u0.l2_norm())
                   for u0 in block_fields(18, n, lam)]
         assert_matches_oracle(point, ratios)
+
+
+def test_maximal_grid_budget():
+    """The pinned grids of maximal_ratio, block n's nx-point spatial grid and
+    _time_grid(n), keep the family's max and mean ratios within 1e-3
+    relative of the same members (seed 18, count 1: one Gaussian member and
+    the flat candidate) on a grid 4x finer in both x and t, on blocks 3, 4
+    and 5 (measured at most 4.6e-4, at block 3; single members moved by at
+    most 8.9e-4 there, and by at most 7.0e-4 on blocks 6 and 7).  The slope
+    is fitted to log2 max_ratio, so a relative change of at most 1e-3 in
+    every max ratio moves each fitted value by at most
+    |log2(1 - 1e-3)| < 1.5e-3, and the slope of criterion 8's six-point
+    sweep (n = 3..8) by at most 9/17.5 of that, under 7.5e-4, next to the
+    maximal slope's margin of 0.140 (slope 0.010 in 0 +- 0.15)."""
+    ns = [3, 4, 5]
+    rep = es.maximal_ratio(ns, seed=18, count=1)
+    for n, point in zip(ns, rep.points):
+        times = es._time_grid(n)
+        fine = np.linspace(0.0, times[-1], 4 * (times.size - 1) + 1)
+        ratios = [oracle_maximal_norm(u0, SCHROEDINGER, fine, refine=4)
+                  / (2.0 ** (n / 4.0) * u0.l2_norm())
+                  for u0 in block_fields(18, n, 1.0)]
+        assert abs(point.max_ratio - max(ratios)) <= 1e-3 * max(ratios)
+        mean = float(np.mean(ratios))
+        assert abs(point.mean_ratio - mean) <= 1e-3 * mean
 
 
 @LAWS

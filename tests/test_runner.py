@@ -163,6 +163,11 @@ def _fake_reports():
     return [r1, r2]
 
 
+def report_passed(rep):
+    return all(rn.check_passed(v, b)
+               for _, v, b in rep.checks(rep.estimate_id))
+
+
 def test_emit_and_roundtrip(tmp_path):
     reports = _fake_reports()
     csv_path = str(tmp_path / "out.csv")
@@ -173,7 +178,7 @@ def test_emit_and_roundtrip(tmp_path):
     assert set(parsed) == {"alpha", "beta"}
     for rep in reports:
         got = parsed[rep.estimate_id]
-        assert got["verdict"] == rep.verdict
+        assert got["verdict"] == report_passed(rep)
         assert abs(got["slope"] - rep.slope) < 1e-15
         # reconstruct the verdict from the emitted points identically
         refit, _, resid = es.fit_exponent(
@@ -181,10 +186,29 @@ def test_emit_and_roundtrip(tmp_path):
         )
         assert abs(refit - rep.slope) < 1e-12
         assert (abs(refit - rep.predicted_slope) <= rep.slope_tol
-                and resid <= rep.residual_cap) == rep.verdict
+                and resid <= rep.residual_cap) == got["verdict"]
     manifest = json.loads(open(man_path).read())
     assert manifest["seed"] == 11
     assert manifest["config"] == {"a": {"b": "1"}}
+    assert ([r["verdict"] for r in manifest["reports"]]
+            == [report_passed(rep) for rep in reports])
+
+
+def test_one_sided_report_verdicts(tmp_path):
+    """The CSV and manifest verdicts of a one-sided fit are its own checks:
+    the decaying log-normalized smoothing slope passes."""
+    rep = es.smoothing_ratio([3, 4, 5, 6], count=2, seed=4,
+                             log_normalized=True)
+    assert rep.one_sided and rep.slope < -rep.slope_tol
+    assert rep.checks("smoothing_log")[0] == ("smoothing_log_slope",
+                                              rep.slope, rep.slope_tol)
+    csv_path, man_path = str(tmp_path / "out.csv"), str(tmp_path / "out.json")
+    rn.emit_report([rep], csv_path, man_path)
+    want = report_passed(rep)
+    assert want
+    assert read_reports_csv(csv_path)["smoothing_log"]["verdict"] == want
+    (entry,) = json.loads(open(man_path).read())["reports"]
+    assert entry["verdict"] == want and entry["one_sided"]
 
 
 def test_emit_empty_reports(tmp_path):
