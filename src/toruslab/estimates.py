@@ -25,28 +25,28 @@ bands of |u|^2 and uv lie below nx/2, so their spatial values and sums are
 exact finite sums over the coefficient lattice (discrete Parseval).
 Smoothing contracts each member's coefficient pairs with a per-block Gram
 table of the time quadrature and synthesizes one nx-point row; bilinear
-sums the squared product coefficients at each time; maximal synthesizes
-the free solution in blocks of time rows of at most CHUNK_BYTES and keeps
-the running sup over t of |u(t, x)|.  The L4 family sums exactly on grids of
+and maximal stream blocks of time rows of at most CHUNK_BYTES, bilinear
+summing the squared product coefficients at each time, maximal keeping the
+running sup over t of |u(t, x)|.  The L4 family sums exactly on grids of
 its own (see l4_modulation_ratio).
 
 The trilinear nonlinearity norm uses the fact that a product of windowed
 free solutions is a finite sum of modulated copies of one smooth profile:
 its modulation spectrum is the interaction spikes convolved with the window
 profile transform of each of thirteen fixed window centers.  The classes
-are measured on the unit torus (lam = 1).  Each output mode's spikes are
-transformed over their occupied stretches of the tau grid only, at a
-5-smooth length shared by all rows: a gap between spikes wider than the
-window kernel is collapsed to the kernel width, which leaves the
-convolution unchanged (the conjugated three-highs-to-low rows span almost
-the whole grid, in two clusters).  The binning, the collapsed layout, the
-kernel spectra and the annulus weights on the covered bins do not depend on
-the profiles and are tabulated when a TrilinearConfig is built; a tuned
-candidate displaces every spike and the tau grid alike, so it only re-weighs
-the annuli.  The factor F-norms factor into the lattice L2 of the profile
-times a window constant per block; a TrilinearConfig evaluates the
-unmodulated constants when it is built and a modulated one when asked, and
-no state is shared between configurations.
+(INTERACTION_CLASSES, each with criterion 9's recipe) are measured on the
+unit torus (lam = 1).  Each output mode's spikes are transformed over their
+occupied stretches of the tau grid only, at a 5-smooth length shared by all
+rows: a gap between spikes wider than the window kernel is collapsed to the
+kernel width, which leaves the convolution unchanged (the conjugated
+three-highs-to-low rows span almost the whole grid, in two clusters).  The
+binning, the collapsed layout, the kernel spectra and the annulus weights on
+the covered bins do not depend on the profiles and are tabulated when a
+TrilinearConfig is built; a tuned candidate displaces every spike and the
+tau grid alike, so it only re-weighs the annuli.  The factor F-norms factor
+into the lattice L2 of the profile times a window constant per block; a
+TrilinearConfig evaluates the unmodulated constants when it is built and a
+modulated one when asked, and no state is shared between configurations.
 """
 
 from dataclasses import dataclass, replace
@@ -309,7 +309,8 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
     (discrete Parseval: the band of uv lies below nx/2 on any grid of at
     least 4x headroom, so its quadrature gives the same value).  The product
     coefficients are shifted rows of u0's, which has at least 8x the modes
-    of v0 as n - k >= 4, one shift per mode of v0.
+    of v0 as n - k >= 4, one shift per mode of v0; they are formed in blocks
+    of time rows of at most CHUNK_BYTES, and only each row's sum is kept.
     """
     if any(n - k < 4 for n in n_values):
         raise ValueError("blocks must satisfy n - k >= 4")
@@ -322,12 +323,17 @@ def bilinear_ratio(n_values, k, lam=1.0, seed=0, count=32, law=SCHROEDINGER,
                                     include_coherent)
         uphase = free_rows(1.0, umodes / lam, times, law)
         vphase = free_rows(1.0, vmodes / lam, times, law)
+        width = umodes[-1] - umodes[0] + vmodes[-1] - vmodes[0] + 1
+        per = max(1, CHUNK_BYTES // (16 * width))
 
         def pair(u, v):
             (uc, ul2), (vc, vl2) = u, v
-            prod = _product_rows(umodes, uc * uphase, vmodes, vc * vphase)
-            parts = prod.view(float)
-            l2sq = np.einsum("tp,tp->t", parts, parts)  # sum_p |(uv)^_p|^2
+            l2sq = np.empty(times.size)  # sum_p |(uv)^_p|^2 at each time
+            for lo in range(0, times.size, per):
+                rows = slice(lo, lo + per)
+                parts = _product_rows(umodes, uc * uphase[rows], vmodes,
+                                      vc * vphase[rows]).view(float)
+                l2sq[rows] = np.einsum("tp,tp->t", parts, parts)
             return (np.sqrt(np.trapezoid(l2sq, times) / period**3),
                     2.0 ** (-n / 2.0) * ul2 * vl2)
 
@@ -433,41 +439,58 @@ def smoothing_grid_operator_norm(n):
 # trilinear interaction classes
 
 
-# name -> (block condition on (k1, k2, k3, k4), its statement, alpha(k)):
-# the frequency-interaction classes of the trilinear estimate
+# name -> one frequency-interaction class of the trilinear estimate: its
+# block condition on (k1, k2, k3, k4), that condition's statement, its
+# factor alpha(k), and criterion 9's recipe: the sweep along which the class
+# constant is uniform, whether the resonance-tuned probe is a candidate, and
+# the slope window (center, tolerance).  Exact factors (2^(k1/2), 2^(k4/2),
+# 1) get 0 +- 0.2; factors with epsilon-slack ("2^(0k)+", absorbing
+# logarithms) get the two-sided -0.2 +- 0.4, slopes in [-0.6, 0.2], shifted
+# toward decay.
 INTERACTION_CLASSES = {
-    "high_low_low_to_high": (
-        lambda k1, k2, k3, k4: (k1 <= k2 <= k3 - 3 and abs(k3 - k4) <= 1
-                                and max(k1, k2, k3, k4) >= 5),
-        "k1 <= k2 <= k3 - 3, |k3 - k4| <= 1, max k >= 5",
-        lambda k1, k2, k3, k4: 2.0 ** (k1 / 2.0)),
-    "high_high_low_to_high": (
-        lambda k1, k2, k3, k4: (abs(k2 - k3) <= 1 and k1 <= k3 - 3
-                                and abs(k3 - k4) <= 1
-                                and max(k1, k2, k3, k4) >= 5),
-        "|k2 - k3| <= 1, k1 <= k3 - 3, |k3 - k4| <= 1, max k >= 5",
-        lambda k1, k2, k3, k4: 1.0),
-    "high_high_high_to_high": (
-        lambda k1, k2, k3, k4: (max(k1, k2, k3, k4) - min(k1, k2, k3, k4) <= 1
-                                and max(k1, k2, k3, k4) >= 5),
-        "all blocks within 1, max k >= 5",
-        lambda k1, k2, k3, k4: 2.0 ** (k4 / 2.0)),
-    "high_high_low_to_low": (
-        lambda k1, k2, k3, k4: (abs(k1 - k2) <= 1 and k3 <= k1 - 3
-                                and k4 <= k1 - 3
-                                and max(k1, k2, k3, k4) >= 5),
-        "|k1 - k2| <= 1, k3 <= k1 - 3, k4 <= k1 - 3, max k >= 5",
-        lambda k1, k2, k3, k4: 1.0),
-    "high_high_high_to_low": (
-        lambda k1, k2, k3, k4: (abs(k1 - k3) <= 1 and abs(k2 - k3) <= 1
-                                and k4 <= k1 - 3
-                                and max(k1, k2, k3, k4) >= 5),
-        "|k1 - k3| <= 1, |k2 - k3| <= 1, k4 <= k1 - 3, max k >= 5",
-        lambda k1, k2, k3, k4: 1.0),
-    "low_low_low_to_low": (
-        lambda k1, k2, k3, k4: max(k1, k2, k3, k4) <= 5,
-        "max k <= 5",
-        lambda k1, k2, k3, k4: 1.0),
+    "high_low_low_to_high": dict(
+        holds=lambda k1, k2, k3, k4: (k1 <= k2 <= k3 - 3 and abs(k3 - k4) <= 1
+                                      and max(k1, k2, k3, k4) >= 5),
+        needs="k1 <= k2 <= k3 - 3, |k3 - k4| <= 1, max k >= 5",
+        alpha=lambda k1, k2, k3, k4: 2.0 ** (k1 / 2.0),
+        sweep=[(k1, 4, 7, 7) for k1 in (0, 1, 2, 3)],
+        tuned=False, window=(0.0, 0.2)),
+    "high_high_low_to_high": dict(
+        holds=lambda k1, k2, k3, k4: (abs(k2 - k3) <= 1 and k1 <= k3 - 3
+                                      and abs(k3 - k4) <= 1
+                                      and max(k1, k2, k3, k4) >= 5),
+        needs="|k2 - k3| <= 1, k1 <= k3 - 3, |k3 - k4| <= 1, max k >= 5",
+        alpha=lambda k1, k2, k3, k4: 1.0,
+        sweep=[(k - 4, k, k, k + 1) for k in (4, 5, 6)],
+        tuned=False, window=(-0.2, 0.4)),
+    "high_high_high_to_high": dict(
+        holds=lambda *ks: max(ks) - min(ks) <= 1 and max(ks) >= 5,
+        needs="all blocks within 1, max k >= 5",
+        alpha=lambda k1, k2, k3, k4: 2.0 ** (k4 / 2.0),
+        sweep=[(k, k, k, k) for k in (5, 6, 7)],
+        tuned=False, window=(0.0, 0.2)),
+    "high_high_low_to_low": dict(
+        holds=lambda k1, k2, k3, k4: (abs(k1 - k2) <= 1 and k3 <= k1 - 3
+                                      and k4 <= k1 - 3
+                                      and max(k1, k2, k3, k4) >= 5),
+        needs="|k1 - k2| <= 1, k3 <= k1 - 3, k4 <= k1 - 3, max k >= 5",
+        alpha=lambda k1, k2, k3, k4: 1.0,
+        sweep=[(k, k, 2, 2) for k in (5, 6, 7)],
+        tuned=False, window=(-0.2, 0.4)),
+    "high_high_high_to_low": dict(
+        holds=lambda k1, k2, k3, k4: (abs(k1 - k3) <= 1 and abs(k2 - k3) <= 1
+                                      and k4 <= k1 - 3
+                                      and max(k1, k2, k3, k4) >= 5),
+        needs="|k1 - k3| <= 1, |k2 - k3| <= 1, k4 <= k1 - 3, max k >= 5",
+        alpha=lambda k1, k2, k3, k4: 1.0,
+        sweep=[(k, k, k, k - 4) for k in (5, 6, 7)],
+        tuned=True, window=(-0.2, 0.4)),
+    "low_low_low_to_low": dict(
+        holds=lambda *ks: max(ks) <= 5,
+        needs="max k <= 5",
+        alpha=lambda k1, k2, k3, k4: 1.0,
+        sweep=[(1, 1, k, k) for k in (3, 4, 5)],
+        tuned=False, window=(0.0, 0.2)),
 }
 
 
@@ -487,10 +510,11 @@ class TrilinearConfig:
     """
 
     def __init__(self, cls_name, ks, law=BENJAMIN_ONO, conjugate_middle=False):
-        holds, needs, alpha = INTERACTION_CLASSES[cls_name]
-        if not holds(*ks):
-            raise ValueError(f"blocks {ks} violate class {cls_name}: needs {needs}")
-        self.alpha = alpha(*ks)
+        cls = INTERACTION_CLASSES[cls_name]
+        if not cls["holds"](*ks):
+            raise ValueError(
+                f"blocks {ks} violate class {cls_name}: needs {cls['needs']}")
+        self.alpha = cls["alpha"](*ks)
         self.ks = tuple(ks)
         self.law = law
         k1, k2, k3, k4 = ks
@@ -572,8 +596,8 @@ class TrilinearConfig:
 
     def _build_layout(self):
         """Profile-independent part of lhs_norm at the config's window
-        centers.  Spikes displaced by a common shift keep all of it but the
-        annulus weights (see lhs_norm).
+        centers.  Spikes displaced by a shift keep all of it but the annulus
+        weights (see lhs_norm).
 
         Spikes sit on the bins of tau0 + dtau * arange(ngrid).  A window
         profile is a kernel of 2 nk + 1 bins, so a spike on bin b reaches
@@ -595,8 +619,10 @@ class TrilinearConfig:
         tau_hi = self.omega_range[1] + self.reach
         self.ngrid = ngrid = int(np.ceil((tau_hi - self.tau0) / self.dtau)) + 1
         bins = np.rint((self.spike_om - self.tau0) / self.dtau).astype(int)
-        kernels = [self.window_profile(c) for c in self.centers]
-        nk = max((kern.size - 1) // 2 for kern in kernels)
+        # every center's kernel has the same 2 nk + 1 bins (dt dtau = 1/512),
+        # and it is centered on bin nk of its zero-padded row
+        kernels = np.stack([self.window_profile(c) for c in self.centers])
+        nk = (kernels.shape[1] - 1) // 2
         # the occupied bins of every row, row after row, on one flat mask;
         # a row's bins differ from their mask indices by one constant
         lo = np.minimum.reduceat(bins, self.row_starts)
@@ -628,11 +654,7 @@ class TrilinearConfig:
                           np.diff(np.r_[start, occupied.size]))
         place += np.arange(occupied.size)
         self.scatter = place[flat]
-        spectra = np.zeros((len(kernels), n), dtype=complex)
-        for row, kern in zip(spectra, kernels):  # centered on bin nk
-            pad = nk - (kern.size - 1) // 2
-            row[pad:pad + kern.size] = kern
-        self.kernel_spectra = np.fft.fft(spectra, axis=1)
+        self.kernel_spectra = np.fft.fft(kernels, n, axis=1)
         dst_lo = np.maximum(cfirst - nk, 0)
         dst_hi = np.minimum(clast + nk + 1, ngrid)
         cover = np.cumsum(np.bincount(dst_lo, minlength=ngrid + 1)
@@ -661,8 +683,9 @@ class TrilinearConfig:
 
     def window_profile(self, center):
         """Transform of envelope^3 * eta0(2^k4 (t - center)) on multiples of
-        dtau across the whole band of its padded FFT (2 nk + 1 bins centered
-        on zero)."""
+        dtau across the whole band of its padded FFT: 2 nk + 1 bins centered
+        on zero, nk = ceil(pi / (dt dtau)) = ceil(512 pi) = 1609 at every
+        center and k4."""
         k4 = self.ks[3]
         half = bumps.OUTER * 2.0**-k4
         dt = 2.0**-k4 / 64.0
@@ -696,12 +719,12 @@ class TrilinearConfig:
         return [self._unit_l2(np.ones(latt.size, dtype=complex))
                 for latt in self.lattices]
 
-    def lhs_norm(self, profiles, thetas=(0.0, 0.0, 0.0)):
+    def lhs_norm(self, profiles, shift=0.0):
         """Windowed resolvent norm of P_k4 d_x of the factor product.
 
-        ``thetas`` are per-slot modulation shifts: slot s carries an extra
-        phase exp(i theta_s t), displacing every interaction spike by the
-        slot-signed sum of shifts.  That moves every spike and the tau grid
+        ``shift`` displaces every interaction spike: the dependent slot
+        carries an extra phase exp(i theta t), theta = slot_sign[dep] shift
+        (see rhs_factor_norms).  That moves every spike and the tau grid
         alike, so the layout built with the config serves every call, and a
         displacement only re-weighs the annuli.  The spike amplitudes are
         scattered into one row per output mode, its clusters laid out with
@@ -711,9 +734,6 @@ class TrilinearConfig:
         added, span by span, into the covered tau bins and weighed by the
         annuli in one matrix product.
         """
-        shift = 0.0
-        for s in range(3):
-            shift += self.slot_sign[s] * float(thetas[s])
         weights = (self.weights if shift == 0.0
                    else self._annulus_weights(shift))
         amp = 1.0
@@ -742,17 +762,17 @@ class TrilinearConfig:
             best = max(best, float(total))
         return best
 
-    def rhs_factor_norms(self, profiles, thetas=(0.0, 0.0, 0.0)):
+    def rhs_factor_norms(self, profiles, shift=0.0):
         """F-norms of the separable factors: coefficient-lattice L2 times a
-        per-block scalar window constant (see factor_window_constant)."""
-        out = []
-        for s in range(3):
-            phi = profiles[s]
-            lnorm = np.sqrt(np.sum(np.abs(phi) ** 2))
-            const = (self.unit_window_constants[s] if thetas[s] == 0.0
-                     else self.factor_window_constant(s, thetas[s]))
-            out.append(lnorm * const)
-        return out
+        per-block scalar window constant (see factor_window_constant).  A
+        nonzero ``shift`` modulates the dependent slot alone, at theta =
+        slot_sign[dep] shift, so that its slot-signed theta is the shift."""
+        consts = list(self.unit_window_constants)
+        if shift != 0.0:
+            consts[self.dep] = self.factor_window_constant(
+                self.dep, self.slot_sign[self.dep] * shift)
+        return [np.sqrt(np.sum(np.abs(phi) ** 2)) * const
+                for phi, const in zip(profiles, consts)]
 
     def factor_window_constant(self, s, theta=0.0):
         """Shorttime norm of a single unit mode of block ks[s] under this
@@ -764,10 +784,11 @@ class TrilinearConfig:
         mode is the envelope spectrum displaced to theta, so the partition
         weights are evaluated at shifted positions on the windows' own
         spectral grid, which need not resolve theta (at theta = 0 this is
-        the generic windowed norm, as the tests check).  Every window center
-        shares dt and the zero-padded length, so the windows are transformed
-        in batches of at most CHUNK_BYTES of real spectra, and each annulus
-        weighs their power by eta_j(sig + theta)^2 over its own support.
+        the generic windowed norm, as the tests check).  Every window is
+        sampled at the same lags t - c from its center, so the windows are
+        built in one broadcast and transformed in batches of at most
+        CHUNK_BYTES of real spectra, and each annulus weighs their power by
+        eta_j(sig + theta)^2 over its own support.
         """
         k = self.ks[s]
         half_env = bumps.OUTER * self.env_scale
@@ -776,15 +797,11 @@ class TrilinearConfig:
         step = 2.0**-k / 4.0
         ncent = int(np.ceil(2.0 * (half_env + 2.0**-k) / step)) + 1
         centers = -half_env - 2.0**-k + step * np.arange(ncent)
-        grids = [np.arange(c - half_win, c + half_win + dt / 2, dt)
-                 for c in centers]
-        nmax = max(t.size for t in grids)
-        windows = np.zeros((ncent, nmax))
-        for i, (c, t) in enumerate(zip(centers, grids)):
-            windows[i, :t.size] = (self.envelope(t)
-                                   * bumps.eta0(2.0**k * (t - c)))
+        lags = np.arange(-half_win, half_win + dt / 2, dt)
+        windows = (self.envelope(centers[:, None] + lags)
+                   * bumps.eta0(2.0**k * lags))
         npad = bumps.next_pow2(
-            max(4 * nmax, int(2.0 * np.pi * 32.0 / (2.0**k * dt)))
+            max(4 * lags.size, int(2.0 * np.pi * 32.0 / (2.0**k * dt)))
         )
         sig = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(npad, dt))
         dsig = 2.0 * np.pi / (npad * dt)
@@ -824,27 +841,24 @@ def trilinear_ratio(cls_name, ks, law=BENJAMIN_ONO,
     alpha(k) * prod F-norms, for one block tuple.
 
     Candidates: Gaussian triples, optionally the coherent flat triple, and
-    optionally a resonance-tuned triple (one slot modulated so the most
-    populated interaction spikes recenter at zero modulation).  The tuned
+    optionally a resonance-tuned triple (the dependent slot modulated so the
+    most populated interaction spikes recenter at zero modulation).  The tuned
     probe is part of the fixed measurement recipe of classes whose
     interactions are never near-resonant for free data.
     """
     cfg = TrilinearConfig(cls_name, ks, law=law,
                           conjugate_middle=conjugate_middle)
-    zero = (0.0, 0.0, 0.0)
-    triples = [(cfg.profiles(sample_rng(seed, i)), zero) for i in range(count)]
+    triples = [(cfg.profiles(sample_rng(seed, i)), 0.0) for i in range(count)]
     flat = cfg.coherent_profiles()
     if include_coherent:
-        triples.append((flat, zero))
+        triples.append((flat, 0.0))
     if include_tuned:
-        tuned = [0.0, 0.0, 0.0]
-        tuned[cfg.dep] = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
-        triples.append((flat, tuple(tuned)))
+        triples.append((flat, -cfg.omega_mode))
 
     mx, mean, kept = _ensemble_ratios(
-        [(cfg.lhs_norm(profiles, thetas=thetas),
-          cfg.alpha * np.prod(cfg.rhs_factor_norms(profiles, thetas=thetas)))
-         for profiles, thetas in triples])
+        [(cfg.lhs_norm(profiles, shift),
+          cfg.alpha * np.prod(cfg.rhs_factor_norms(profiles, shift)))
+         for profiles, shift in triples])
     return RatioPoint(float(ks[0]), 1.0, mx, mean), len(triples) - kept
 
 
@@ -852,10 +866,8 @@ def trilinear_sweep(cls_name, sweeps, law=BENJAMIN_ONO,
                     conjugate_middle=False, seed=0, count=12,
                     include_tuned=False):
     """Report over a list of block tuples, swept along the first entry that
-    varies across the tuples.  The report's window, slope 0 +- 0.2, is a
-    placeholder: criterion 9 replaces it with the class's own window."""
-    points = []
-    skipped = 0
+    varies across the tuples, in the class's window (INTERACTION_CLASSES)."""
+    points, skipped = [], 0
     arr = np.asarray(sweeps)
     varying = [j for j in range(4) if len(set(arr[:, j])) > 1]
     sweep_coord = varying[0] if varying else 0
@@ -863,10 +875,9 @@ def trilinear_sweep(cls_name, sweeps, law=BENJAMIN_ONO,
         pt, sk = trilinear_ratio(cls_name, tuple(ks), law=law,
                                  conjugate_middle=conjugate_middle, seed=seed,
                                  count=count, include_tuned=include_tuned)
-        points.append(
-            RatioPoint(float(ks[sweep_coord]), 1.0, pt.max_ratio, pt.mean_ratio)
-        )
+        points.append(replace(pt, sweep=float(ks[sweep_coord])))
         skipped += sk
     tag = "dnls" if conjugate_middle else "real"
-    return make_report(f"trilinear_{cls_name}_{tag}", points, 0.0, 0.2,
+    center, tol = INTERACTION_CLASSES[cls_name]["window"]
+    return make_report(f"trilinear_{cls_name}_{tag}", points, center, tol,
                        skipped=skipped)

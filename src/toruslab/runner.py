@@ -21,7 +21,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -473,56 +473,24 @@ def estimates(seed=108, count=64,
     return ScenarioResult(measurements, checks, reports)
 
 
-# Per-class measurement recipes: the sweep direction along which the class
-# constant is uniform, whether the resonance-tuned probe belongs to the
-# candidate family, and the slope window.  Classes whose factor in the
-# frequency-localized estimate is exact (2^(k1/2), 2^(k4/2), 1) carry the
-# two-sided window 0 +- 0.2; classes whose factor has epsilon-slack
-# ("2^(0k)+", absorbing logarithms) are checked one-sidedly for growth, with
-# desk-scale decay tolerated, per the slack-exponent convention.
-TRILINEAR_SWEEPS = {
-    "high_low_low_to_high": {
-        "sweep": [(k1, 4, 7, 7) for k1 in (0, 1, 2, 3)],
-        "tuned": False, "window": (0.0, 0.2),
-    },
-    "high_high_low_to_high": {
-        "sweep": [(k - 4, k, k, k + 1) for k in (4, 5, 6)],
-        "tuned": False, "window": (-0.2, 0.4),
-    },
-    "high_high_high_to_high": {
-        "sweep": [(k, k, k, k) for k in (5, 6, 7)],
-        "tuned": False, "window": (0.0, 0.2),
-    },
-    "high_high_low_to_low": {
-        "sweep": [(k, k, 2, 2) for k in (5, 6, 7)],
-        "tuned": False, "window": (-0.2, 0.4),
-    },
-    "high_high_high_to_low": {
-        "sweep": [(k, k, k, k - 4) for k in (5, 6, 7)],
-        "tuned": True, "window": (-0.2, 0.4),
-    },
-    "low_low_low_to_low": {
-        "sweep": [(1, 1, k, k) for k in (3, 4, 5)],
-        "tuned": False, "window": (0.0, 0.2),
-    },
-}
+TRILINEAR_SWEEPS = es.INTERACTION_CLASSES  # criterion 9's recipes, by class
 
 
 def trilinear(seed=109, count=4, equations=("mbo", "dnls"),
-              classes=tuple(TRILINEAR_SWEEPS)):
+              classes=tuple(es.INTERACTION_CLASSES)):
     """Criterion 9: slope of every trilinear interaction class in its window,
-    for the modified Benjamin-Ono flow and the dnls conjugation pattern."""
+    for the modified Benjamin-Ono flow and the dnls conjugation pattern; the
+    sweeps, tuned probes and windows are the classes' recipes in
+    estimates.INTERACTION_CLASSES."""
     reports, checks = [], []
     for eq in equations:
         law, conj = ((ev.BENJAMIN_ONO, False) if eq == "mbo"
                      else (ev.SCHROEDINGER, True))
         for cls in classes:
-            recipe = TRILINEAR_SWEEPS[cls]
-            center, tol = recipe["window"]
+            recipe = es.INTERACTION_CLASSES[cls]
             rep = es.trilinear_sweep(cls, recipe["sweep"], law=law,
                                      conjugate_middle=conj, seed=seed,
                                      count=count, include_tuned=recipe["tuned"])
-            rep = replace(rep, predicted_slope=center, slope_tol=tol)
             reports.append(rep)
             checks += rep.checks(f"{eq}_{cls}")
     return ScenarioResult({}, checks, reports)

@@ -1,21 +1,24 @@
 """The benchmark's tracing layer wraps toruslab functions by name from
 outside ``src/`` (``perfbench/spans.py``); a renamed function or parameter
-would break a traced run.  These checks keep every wrapped name bindable."""
+would break a traced run.  These checks keep every wrapped name bindable,
+and run every workload against its recorded reference."""
 
 import inspect
+import json
 import os
 import sys
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
-from perfbench import spans  # noqa: E402
-from toruslab import (energy, estimates, evolution, spacetime,  # noqa: E402
-                      spectral)
+from perfbench import spans, workloads  # noqa: E402
+from toruslab import (energy, estimates, evolution, runner,  # noqa: E402
+                      spacetime, spectral)
 
 
 def test_instrument_and_restore():
@@ -81,3 +84,27 @@ def test_member_counts_bind():
     bound.apply_defaults()
     counts = spans._trilinear_ratio_counts(bound.arguments, (None, 1), None)
     assert counts == {"members": 7, "skipped": 1}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_passes_its_reference_checks(name):
+    """Each workload, set up at the seed reference.json records, passes its
+    own checks and the 1e-9 reference gate of a benchmark run, so reference
+    drift fails here before it fails the benchmark."""
+    with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
+        reference = json.load(fh)[name]
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.setup(reference["seed"])
+    outputs = workload.run(inputs)
+    checks = (workload.check(inputs, outputs)
+              + workloads.reference_checks(reference["outputs"], outputs))
+    failed = [c for c in checks if not c["ok"]]
+    assert checks and not failed, failed
+
+
+def test_trilinear_recipes_keep_their_keys():
+    """The workloads read each class's sweep, tuned flag and window through
+    runner.TRILINEAR_SWEEPS, which is the class table itself."""
+    assert runner.TRILINEAR_SWEEPS is estimates.INTERACTION_CLASSES
+    for cls_name, recipe in runner.TRILINEAR_SWEEPS.items():
+        assert {"sweep", "tuned", "window"} <= set(recipe), cls_name

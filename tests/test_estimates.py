@@ -5,7 +5,6 @@ import pytest
 
 from toruslab import bumps, estimates as es, spacetime as st
 from toruslab.evolution import BENJAMIN_ONO, SCHROEDINGER
-from toruslab.runner import TRILINEAR_SWEEPS
 from toruslab.spectral import (SpectralField, TorusGeometry, block_indicator,
                                lebesgue_norm)
 
@@ -123,17 +122,14 @@ def brute_spikes(cfg):
     return ms, om - cfg.law.omega(ms[:, 3])
 
 
-def oracle_lhs_norm(cfg, profiles, thetas=(0.0, 0.0, 0.0)):
+def oracle_lhs_norm(cfg, profiles, shift=0.0):
     """Reference trilinear norm on the unit torus: the brute-force spikes of
-    every output mode binned on the full tau grid and convolved with each
-    center's window profile by one power-of-two FFT of the whole (rows, grid)
-    matrix (the evaluator the row-support transforms of
-    TrilinearConfig.lhs_norm replaced)."""
+    every output mode, displaced by ``shift``, binned on the full tau grid
+    and convolved with each center's window profile by one power-of-two FFT
+    of the whole (rows, grid) matrix (the evaluator the row-support
+    transforms of TrilinearConfig.lhs_norm replaced)."""
     k4 = cfg.ks[3]
     pref = 1.0 / (2.0 * np.pi) ** 2
-    shift = 0.0
-    for s in range(3):
-        shift += cfg.slot_sign[s] * float(thetas[s])
     tau0 = cfg.omega_range[0] + shift - cfg.reach
     tau_hi = cfg.omega_range[1] + shift + cfg.reach
     ngrid = int(np.ceil((tau_hi - tau0) / cfg.dtau)) + 1
@@ -173,6 +169,24 @@ def oracle_lhs_norm(cfg, profiles, thetas=(0.0, 0.0, 0.0)):
     return best
 
 
+def fine_window_profile(cfg, center):
+    """TrilinearConfig.window_profile at a quarter of its time step,
+    dt = 2^-k4 / 256, which also widens its band, and so its kernel, 4x."""
+    k4 = cfg.ks[3]
+    half = bumps.OUTER * 2.0**-k4
+    dt = 2.0**-k4 / 256.0
+    t = np.arange(center - half, center + half + dt / 2, dt)
+    s = cfg.envelope(t) ** 3 * bumps.eta0(2.0**k4 * (t - center))
+    npad = bumps.next_pow2(int(2.0 * np.pi / (cfg.dtau * dt)) + t.size)
+    taus = 2.0 * np.pi * np.fft.fftfreq(npad, dt)
+    ft = np.fft.fft(s, npad) * dt * np.exp(-1j * taus * t[0])
+    order = np.argsort(taus)
+    taus, ft = taus[order], ft[order]
+    nk = int(np.ceil(max(abs(taus[0]), abs(taus[-1])) / cfg.dtau))
+    kgrid = cfg.dtau * np.arange(-nk, nk + 1)
+    return np.interp(kgrid, taus, ft.real) + 1j * np.interp(kgrid, taus,
+                                                            ft.imag)
+
 
 def block_nx(*u0s):
     """Power-of-two spatial grid with 4x headroom over the summed top modes
@@ -199,11 +213,11 @@ def time_chunks(times, size=256):
             for i in range(0, times.size - 1, size)]
 
 
-def oracle_smoothing_norm(u0, law, times):
+def oracle_smoothing_norm(u0, law, times, refine=1):
     """||u||_{Linf_x L2_t} of the free solution on the space-time grid of
-    block_nx(u0) points (the evaluation the lattice route of
-    smoothing_ratio replaced), built in chunks of times."""
-    nx = block_nx(u0)
+    refine * block_nx(u0) points (at refine 1, the evaluation the lattice
+    route of smoothing_ratio replaced), built in chunks of times."""
+    nx = refine * block_nx(u0)
     total = 0.0
     for sl in time_chunks(times):
         vals = es.free_solution_grid(u0, law, times[sl], nx)
@@ -446,6 +460,28 @@ def test_maximal_grid_budget():
         assert abs(point.mean_ratio - mean) <= 1e-3 * mean
 
 
+def test_smoothing_grid_budget():
+    """The pinned spatial grid of smoothing_ratio, block n's nx-point grid,
+    against a grid 4x finer in x on the same _time_grid(n), on blocks 3, 4
+    and 5 at seed 18 (one Gaussian member and the flat candidate).  The max
+    ratio agrees within 1e-12 (measured 3.8e-16; 9.4e-16 up to block 7): the
+    flat member sets it, and its sup over x lies on a point of both grids.
+    The mean ratio agrees within 1e-2 (measured 5.5e-4 at n = 3 and 5.4e-3
+    at n = 5).  The slope is fitted to log2 max_ratio, so the grid moves it
+    by rounding only; the mean_ratio column of criterion 8's CSV carries the
+    Gaussian member's grid error, up to about 0.5%."""
+    ns = [3, 4, 5]
+    rep = es.smoothing_ratio(ns, seed=18, count=1)
+    for n, point in zip(ns, rep.points):
+        ratios = [oracle_smoothing_norm(u0, SCHROEDINGER, es._time_grid(n),
+                                        refine=4)
+                  / (2.0 ** (-n / 2.0) * u0.l2_norm())
+                  for u0 in block_fields(18, n, 1.0)]
+        assert abs(point.max_ratio - max(ratios)) <= 1e-12 * max(ratios)
+        mean = float(np.mean(ratios))
+        assert abs(point.mean_ratio - mean) <= 1e-2 * mean
+
+
 @LAWS
 @pytest.mark.parametrize("lam", [1.0, 2.0])
 def test_bilinear_matches_grid_oracle(law, lam):
@@ -538,7 +574,8 @@ BUDGET_CASES = pytest.mark.parametrize("cls_name, ks, law, conj", [
 ])
 
 
-TUNED_TUPLES = [(cls_name, ks) for cls_name, recipe in TRILINEAR_SWEEPS.items()
+TUNED_TUPLES = [(cls_name, ks)
+                for cls_name, recipe in es.INTERACTION_CLASSES.items()
                 if recipe["tuned"] for ks in recipe["sweep"]]
 
 
@@ -553,7 +590,7 @@ class TestTrilinear:
 
     def test_alpha_factors(self):
         def alpha(name, ks):
-            return es.INTERACTION_CLASSES[name][2](*ks)
+            return es.INTERACTION_CLASSES[name]["alpha"](*ks)
 
         assert alpha("high_low_low_to_high", (2, 3, 6, 6)) == 2.0
         assert alpha("high_high_high_to_high", (6, 6, 6, 6)) == 8.0
@@ -563,17 +600,16 @@ class TestTrilinear:
         """Every tuple of every criterion-9 sweep passes its class's block
         condition, so a recipe typo fails here and not minutes into the
         criterion."""
-        for cls_name, recipe in TRILINEAR_SWEEPS.items():
-            holds = es.INTERACTION_CLASSES[cls_name][0]
+        for cls_name, recipe in es.INTERACTION_CLASSES.items():
             for ks in recipe["sweep"]:
-                assert holds(*ks), (cls_name, ks)
+                assert recipe["holds"](*ks), (cls_name, ks)
 
-    @pytest.mark.parametrize("cls_name", sorted(TRILINEAR_SWEEPS))
+    @pytest.mark.parametrize("cls_name", sorted(es.INTERACTION_CLASSES))
     def test_spikes_match_brute_force(self, cls_name):
         """The spike arrays hold exactly the brute-force interactions of the
         first sweep tuple of each class, with their modulations, under both
         laws."""
-        ks = TRILINEAR_SWEEPS[cls_name]["sweep"][0]
+        ks = es.INTERACTION_CLASSES[cls_name]["sweep"][0]
         for law, conj in ((BENJAMIN_ONO, False), (SCHROEDINGER, True)):
             cfg = es.TrilinearConfig(cls_name, ks, law=law,
                                      conjugate_middle=conj)
@@ -666,16 +702,13 @@ class TestTrilinear:
             for law, conj in laws:
                 cfg = es.TrilinearConfig(cls_name, ks, law=law,
                                          conjugate_middle=conj)
-                zero = (0.0, 0.0, 0.0)
-                calls = [(cfg.profiles(es.sample_rng(10, 0)), zero),
-                         (cfg.coherent_profiles(), zero)]
+                calls = [(cfg.profiles(es.sample_rng(10, 0)), 0.0),
+                         (cfg.coherent_profiles(), 0.0)]
                 if tuned:
-                    thetas = [0.0, 0.0, 0.0]
-                    thetas[cfg.dep] = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
-                    calls.append((cfg.coherent_profiles(), tuple(thetas)))
-                for prof, thetas in calls:
-                    got = cfg.lhs_norm(prof, thetas=thetas)
-                    want = oracle_lhs_norm(cfg, prof, thetas=thetas)
+                    calls.append((cfg.coherent_profiles(), -cfg.omega_mode))
+                for prof, shift in calls:
+                    got = cfg.lhs_norm(prof, shift)
+                    want = oracle_lhs_norm(cfg, prof, shift)
                     assert want > 0.0
                     assert abs(got - want) <= 1e-12 * want
                 collapsed += len(cfg.spans) > cfg.row_starts.size
@@ -727,6 +760,24 @@ class TestTrilinear:
             assert max(clusters.values()) == 2
         assert clusters[0] == 2  # 2 nk apart: one cluster; 2 nk + 1: two
 
+    def test_shift_modulates_only_the_dependent_slot(self):
+        """A shift changes the dependent slot's factor norm alone, to the
+        window constant at theta = slot_sign[dep] shift, under both laws."""
+        cls_name, ks = TUNED_TUPLES[0]
+        for law, conj in ((BENJAMIN_ONO, False), (SCHROEDINGER, True)):
+            cfg = es.TrilinearConfig(cls_name, ks, law=law,
+                                     conjugate_middle=conj)
+            prof = cfg.profiles(es.sample_rng(10, 0))
+            base = cfg.rhs_factor_norms(prof)
+            moved = cfg.rhs_factor_norms(prof, -cfg.omega_mode)
+            for s in range(3):
+                if s != cfg.dep:
+                    assert moved[s] == base[s]
+            theta = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
+            want = (np.sqrt(np.sum(np.abs(prof[cfg.dep]) ** 2))
+                    * cfg.factor_window_constant(cfg.dep, theta))
+            assert moved[cfg.dep] == want and want != base[cfg.dep]
+
     def test_tuned_call_reuses_layout(self, monkeypatch):
         """Once a config is built, a tuned candidate transforms no window
         profile and builds no layout: its displacement only re-weighs the
@@ -743,9 +794,7 @@ class TestTrilinear:
         monkeypatch.setattr(es.TrilinearConfig, "window_profile", forbidden)
         monkeypatch.setattr(es.TrilinearConfig, "_build_layout", forbidden)
         for cfg in configs:
-            thetas = [0.0, 0.0, 0.0]
-            thetas[cfg.dep] = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
-            assert cfg.lhs_norm(cfg.coherent_profiles(), thetas=thetas) > 0.0
+            assert cfg.lhs_norm(cfg.coherent_profiles(), -cfg.omega_mode) > 0.0
 
     @BUDGET_CASES
     def test_tau_bin_budget(self, monkeypatch, cls_name, ks, law, conj):
@@ -779,6 +828,27 @@ class TestTrilinear:
         wide = cfg.lhs_norm(prof)
         assert abs(pinned - wide) <= 1e-5 * wide
 
+    @BUDGET_CASES
+    def test_window_profile_budget(self, monkeypatch, cls_name, ks, law,
+                                   conj):
+        """The pinned window_profile, dt = 2^-k4 / 64 across its whole band
+        (+-1609 bins), keeps lhs_norm within 1e-5 relative of a copy at dt / 4
+        (band and kernel 4x wider) for one Gaussian profile and the coherent
+        profile (measured at most 1.5e-7 in these three cases; dt / 2 and
+        dt / 4 agree to 3.1e-9).  A relative change of at most 1e-5 in every
+        ratio moves log2 max_ratio by at most 1.5e-5, and so any criterion-9
+        slope by under 1.5e-5, next to the thinnest margin, 0.115 (dnls
+        high_high_high_to_high)."""
+        cfg = es.TrilinearConfig(cls_name, ks, law=law, conjugate_middle=conj)
+        profs = [cfg.profiles(es.sample_rng(10, 0)), cfg.coherent_profiles()]
+        pinned = [cfg.lhs_norm(prof) for prof in profs]
+        monkeypatch.setattr(es.TrilinearConfig, "window_profile",
+                            fine_window_profile)
+        cfg._build_layout()
+        for prof, want in zip(profs, pinned):
+            fine = cfg.lhs_norm(prof)
+            assert abs(want - fine) <= 1e-5 * fine
+
     def test_factor_norm_factorization(self):
         """The factored F-norm equals the generic windowed norm."""
         cfg = es.TrilinearConfig("low_low_low_to_low", (2, 1, 1, 2))
@@ -801,8 +871,9 @@ class TestTrilinear:
 
     def test_window_constant_matches_per_center_oracle(self):
         """Batched window constants, tabulated (theta = 0) or evaluated (the
-        tuned shift, beyond the grid's Nyquist frequency at (7, 7, 7, 3)), agree
-        with the per-center loop for every slot and both laws."""
+        tuned probe's theta, beyond the grid's Nyquist frequency at
+        (7, 7, 7, 3)), agree with the per-center loop for every slot and both
+        laws."""
         cases = [("high_high_high_to_low", (5, 5, 5, 1)),
                  ("high_high_high_to_low", (7, 7, 7, 3)),
                  ("high_low_low_to_high", (3, 4, 7, 7)),
@@ -818,12 +889,13 @@ class TestTrilinear:
                         for l in cfg.lattices]
                 tuned = -cfg.slot_sign[cfg.dep] * cfg.omega_mode
                 for theta in (0.0, tuned):
-                    got = cfg.rhs_factor_norms(unit, thetas=(theta,) * 3)
                     for s in range(3):
+                        got = (cfg.rhs_factor_norms(unit)[s] if theta == 0.0
+                               else cfg.factor_window_constant(s, theta))
                         key = (cfg.ks[s], theta)
                         if key not in oracle:
                             oracle[key] = oracle_window_constant(cfg, s, theta)
-                        assert abs(got[s] - oracle[key]) <= 1e-12 * oracle[key]
+                        assert abs(got - oracle[key]) <= 1e-12 * oracle[key]
                         dt = window_grid(cfg, s)[0]
                         beyond_nyquist += abs(theta) > np.pi / dt
         assert beyond_nyquist > 0
@@ -853,12 +925,21 @@ class TestTrilinear:
                 assert abs(const - direct) <= 1e-12 * direct
 
     def test_sweep_report(self):
+        """A sweep report has one point per tuple and its class's own window:
+        0 +- 0.2 for an exact class, the two-sided -0.2 +- 0.4 for a slack
+        one."""
         rep = es.trilinear_sweep(
             "low_low_low_to_low", [(1, 1, k, k) for k in (2, 3, 4)],
             count=2, seed=12,
         )
         assert len(rep.points) == 3
         assert np.isfinite(rep.slope)
+        assert (rep.predicted_slope, rep.slope_tol) == (0.0, 0.2)
+        slack = es.trilinear_sweep("high_high_low_to_low",
+                                   [(k, k, 2, 2) for k in (5, 6, 7)],
+                                   count=1, seed=12)
+        assert (slack.predicted_slope, slack.slope_tol) == (-0.2, 0.4)
+        assert slack.checks("x")[0] == ("x_slope", abs(slack.slope + 0.2), 0.4)
 
 
 @pytest.mark.parametrize("family", [
